@@ -799,141 +799,11 @@ let corpus_suite () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Solver backends: the eager pipeline vs the lazy automata-term
-   backend, per query, with the lazy exploration counters.  Verdicts
-   must be identical; under [--full] the suite also runs E6 (the
-   dominant query) under both backends with the generous budget and
-   gates on verdict identity plus wall-clock parity (lazy within 2x of
-   eager) — a regression fence, not a speedup claim: on this
-   reproduction the eager pipeline's budgeted, minimized constructions
-   stay small enough that E6 has no subset-construction cliff for
-   laziness to skip, and the two backends land within a few percent of
-   each other (measured here: eager 478 s / 2.75M fresh BDD nodes,
-   lazy 495 s / 2.65M, 8 944 on-demand expansions).                    *)
-
-let race_class = function
-  | Analysis.Race_free -> "race-free"
-  | Analysis.Race _ -> "race"
-  | Analysis.Race_unknown _ -> "unknown"
-
-let equiv_class = function
-  | Analysis.Equivalent _ -> "valid"
-  | Analysis.Not_equivalent _ -> "counterexample"
-  | Analysis.Bisimulation_failed _ -> "bisim-failed"
-  | Analysis.Equiv_unknown _ -> "unknown"
-
-let solver_suite () =
-  Fmt.pr "@.== Solver backends: eager vs lazy (identical verdicts \
-          required) ==@.";
-  let failures = ref 0 in
-  let entries = ref [] in
-  let run id f =
-    let ve, te = time (fun () -> Lazy_solve.with_backend Lazy_solve.Eager f) in
-    Lazy_solve.reset_stats ();
-    let vl, tl = time (fun () -> Lazy_solve.with_backend Lazy_solve.Lazy f) in
-    let st = Lazy_solve.get_stats () in
-    if ve <> vl then begin
-      incr failures;
-      Fmt.pr "  [%s] VERDICTS DIVERGE: eager %s, lazy %s@." id ve vl
-    end
-    else
-      Fmt.pr "  [%s] %-15s eager %6.2fs  lazy %6.2fs  (%d expansions, %d \
-              prunes)@."
-        id ve te tl st.Lazy_solve.expansions st.Lazy_solve.prunes;
-    Format.pp_print_flush Fmt.stdout ();
-    entries :=
-      Printf.sprintf
-        "    {\"id\": \"%s\", \"verdict\": \"%s\", \"eager_s\": %.3f, \
-         \"lazy_s\": %.3f, \"lazy_expansions\": %d, \"lazy_prunes\": %d}"
-        id ve te tl st.Lazy_solve.expansions st.Lazy_solve.prunes
-      :: !entries
-  in
-  let fast = Engine.budget ~timeout:60. () in
-  let heavy = Engine.budget ~timeout:10. () in
-  let race id budget p =
-    run id (fun () -> race_class (Analysis.check_data_race ~budget p))
-  in
-  let equiv id budget p p' map =
-    run id (fun () -> equiv_class (Analysis.check_equivalence ~budget p p' ~map))
-  in
-  let seq = Programs.load Programs.size_counting_seq in
-  equiv "E1" fast seq (Programs.load Programs.size_counting_fused) map_fused;
-  equiv "E2" fast seq
-    (Programs.load Programs.size_counting_fused_invalid)
-    map_fused;
-  race "E3" fast (Programs.load Programs.size_counting);
-  equiv "E4" fast
-    (Programs.load Programs.tree_mutation_seq)
-    (Programs.load Programs.tree_mutation_fused)
-    map_mutation;
-  equiv "E5" heavy
-    (Programs.load Programs.css_minification_seq)
-    (Programs.load Programs.css_minification_fused)
-    map_css;
-  race "E7" fast (Programs.load Programs.cycletree_par);
-  (* the E6 column *)
-  let p6 = Programs.load Programs.cycletree_seq in
-  let p6' = Programs.load Programs.cycletree_fused in
-  let e6_json =
-    if full then begin
-      let generous = Engine.budget ~timeout:3600. () in
-      let ve, te =
-        time (fun () ->
-            Lazy_solve.with_backend Lazy_solve.Eager (fun () ->
-                equiv_class
-                  (Analysis.check_equivalence ~budget:generous p6 p6'
-                     ~map:map_cycle)))
-      in
-      Lazy_solve.reset_stats ();
-      let vl, tl =
-        time (fun () ->
-            Lazy_solve.with_backend Lazy_solve.Lazy (fun () ->
-                equiv_class
-                  (Analysis.check_equivalence ~budget:generous p6 p6'
-                     ~map:map_cycle)))
-      in
-      let st = Lazy_solve.get_stats () in
-      (* the fence: same verdict, and the lazy backend must not regress
-         past 2x the eager wall clock on the dominant query (measured
-         ratio on this container: ~1.04x) *)
-      let ok = ve = vl && ve = "valid" && tl <= 2. *. te in
-      if not ok then incr failures;
-      Fmt.pr "  [E6] eager %s in %.0fs; lazy %s in %.0fs (%d expansions, \
-              %d prunes) — parity %s@."
-        ve te vl tl st.Lazy_solve.expansions st.Lazy_solve.prunes
-        (if ok then "CONFIRMED" else "NOT confirmed");
-      Printf.sprintf
-        "{\"mode\": \"full\", \"eager_verdict\": \"%s\", \"eager_s\": %.1f, \
-         \"lazy_verdict\": \"%s\", \"lazy_s\": %.1f, \"lazy_expansions\": \
-         %d, \"lazy_prunes\": %d, \"parity_within_2x\": %b}"
-        ve te vl tl st.Lazy_solve.expansions st.Lazy_solve.prunes ok
-    end
-    else begin
-      (* smoke: both capped at the heavy budget — records that neither
-         backend gets E6 for free; the comparison needs --full *)
-      equiv "E6" heavy p6 p6' map_cycle;
-      "{\"mode\": \"smoke\", \"note\": \"pass --full for the eager/lazy \
-       E6 comparison\"}"
-    end
-  in
-  let oc = open_out "BENCH_lazy.json" in
-  Printf.fprintf oc "{\n  \"queries\": [\n%s\n  ],\n  \"e6\": %s\n}\n"
-    (String.concat ",\n" (List.rev !entries))
-    e6_json;
-  close_out oc;
-  Fmt.pr "  wrote BENCH_lazy.json@.";
-  if !failures > 0 then begin
-    Fmt.pr "solver comparison: %d failure(s)@." !failures;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   if smoke then begin
     Fmt.pr "Retreet benchmark harness — smoke mode@.@.";
     smoke_suite ();
-    solver_suite ();
     parallel_suite ();
     serve_suite ();
     corpus_suite ();
@@ -943,7 +813,6 @@ let () =
   Fmt.pr "Retreet benchmark harness (paper: PPoPP 2021 evaluation)@.@.";
   let t0 = Unix.gettimeofday () in
   table1 ();
-  solver_suite ();
   table2 ();
   figure_a ();
   figure_c ();

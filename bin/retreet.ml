@@ -126,20 +126,6 @@ let validate_arg =
            trees).  A failed check exits 4 without changing the printed \
            verdict.")
 
-let solver_arg =
-  Arg.(
-    value
-    & opt (enum Lazy_solve.backend_enum) Lazy_solve.Eager
-    & info [ "solver" ] ~docv:"BACKEND"
-        ~doc:
-          "WSkS decision backend: $(b,eager) (materialize, minimize and \
-           product full automata bottom-up; the default) or $(b,lazy) \
-           (automata-term DAG with antichain subsumption: products, \
-           projections and complements stay unevaluated and only \
-           reachable, non-subsumed root states are ever explored).  \
-           Verdicts, witnesses and exit codes are identical under both; \
-           only the work done differs.")
-
 (* Fault-site lists for --help, rendered from the registry so the docs
    can never drift from the code ([Faults.list_sites] is the single
    source of truth for every site listing). *)
@@ -249,14 +235,11 @@ let check_cmd =
 (* --- race --- *)
 
 let race_cmd =
-  let run verbose budget vlevel solver inject file =
+  let run verbose budget vlevel inject file =
     setup_logs verbose;
     apply_inject inject;
     let info = load_source file in
-    let result, report =
-      Lazy_solve.with_backend solver (fun () ->
-          Validate.check_data_race ~level:vlevel ~budget info)
-    in
+    let result, report = Validate.check_data_race ~level:vlevel ~budget info in
     let code =
       match result with
       | Analysis.Race_free ->
@@ -286,8 +269,7 @@ let race_cmd =
     (Cmd.info "race" ~exits
        ~doc:"Check data-race freedom (the paper's DataRace query).")
     Term.(
-      const run $ verbose_arg $ budget_term $ validate_arg $ solver_arg
-      $ inject_arg
+      const run $ verbose_arg $ budget_term $ validate_arg $ inject_arg
       $ file_arg 0 "Program file or builtin:NAME.")
 
 (* --- batch --- *)
@@ -298,13 +280,12 @@ let jobs_arg =
     & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the batch.  $(b,0) and $(b,1) run the \
-           queries serially on the calling domain; either way each query \
-           runs on cold solver state, so the output is byte-identical \
-           for every $(b,-j).")
+          "Worker domains for the batch ($(b,0) counts as 1).  Each query \
+           runs on cold solver state, so the output is byte-identical for \
+           every $(b,-j).")
 
 let batch_cmd =
-  let run verbose jobs budget vlevel solver inject files =
+  let run verbose jobs budget vlevel inject files =
     setup_logs verbose;
     let arm = parse_inject inject in
     if files = [] then begin
@@ -324,21 +305,16 @@ let batch_cmd =
     let tasks =
       List.map
         (fun (_, info) task_budget ->
-          (* backend selection is domain-local, so it must happen inside
-             the task body, on whichever worker domain runs it — exactly
-             like the per-query fault re-arming below *)
-          Lazy_solve.with_backend solver (fun () ->
-              let query () =
-                Validate.check_data_race ~level:vlevel ~budget:task_budget
-                  info
-              in
-              match arm with
-              | None -> query ()
-              | Some arm ->
-                (* re-armed per query, on the domain that runs it, so
-                   every query sees the hit sequence it would see alone *)
-                arm ();
-                Fun.protect ~finally:Faults.disarm query))
+          let query () =
+            Validate.check_data_race ~level:vlevel ~budget:task_budget info
+          in
+          match arm with
+          | None -> query ()
+          | Some arm ->
+            (* re-armed per query, on the domain that runs it, so every
+               query sees the hit sequence it would see alone *)
+            arm ();
+            Fun.protect ~finally:Faults.disarm query)
         infos
     in
     let results = Pool.run_batch ~jobs ~budget tasks in
@@ -370,7 +346,7 @@ let batch_cmd =
           per-program code.")
     Term.(
       const run $ verbose_arg $ jobs_arg $ budget_term $ validate_arg
-      $ solver_arg $ inject_arg
+      $ inject_arg
       $ Arg.(
           value & pos_all string []
           & info [] ~docv:"FILE" ~doc:"Program files or builtin:NAMEs."))
@@ -491,7 +467,7 @@ let serve_cmd =
                    (sites_doc Faults.Io))))
 
 let ask_cmd =
-  let run verbose socket wait client budget vlevel solver inject metrics
+  let run verbose socket wait client budget vlevel inject metrics
       retries backoff read_timeout files =
     setup_logs verbose;
     (* a server killed mid-request must surface as EPIPE -> typed error
@@ -562,7 +538,7 @@ let ask_cmd =
       in
       let opts =
         Serve.options_to_assoc
-          { Serve.client; budget; vlevel; solver; inject = remote_inject }
+          { Serve.client; budget; vlevel; inject = remote_inject }
       in
       let codes =
         List.map
@@ -609,7 +585,7 @@ let ask_cmd =
           value & opt string "cli"
           & info [ "client" ] ~docv:"NAME"
               ~doc:"Client identity for the daemon's admission control.")
-      $ budget_term $ validate_arg $ solver_arg $ inject_arg
+      $ budget_term $ validate_arg $ inject_arg
       $ Arg.(
           value & flag
           & info [ "metrics" ]
@@ -652,13 +628,12 @@ let map_arg =
            multivalued (repeat a source label).")
 
 let equiv_cmd =
-  let run verbose budget vlevel solver inject f1 f2 map =
+  let run verbose budget vlevel inject f1 f2 map =
     setup_logs verbose;
     apply_inject inject;
     let p = load_source f1 and p' = load_source f2 in
     let result, report =
-      Lazy_solve.with_backend solver (fun () ->
-          Validate.check_equivalence ~level:vlevel ~budget p p' ~map)
+      Validate.check_equivalence ~level:vlevel ~budget p p' ~map
     in
     let code =
       match result with
@@ -696,8 +671,7 @@ let equiv_cmd =
          "Check that two programs are equivalent (the paper's Conflict \
           query over a bisimulation).")
     Term.(
-      const run $ verbose_arg $ budget_term $ validate_arg $ solver_arg
-      $ inject_arg
+      const run $ verbose_arg $ budget_term $ validate_arg $ inject_arg
       $ file_arg 0 "Original program."
       $ file_arg 1 "Transformed program."
       $ map_arg)
@@ -783,8 +757,7 @@ let fuse_cmd =
 (* --- gen --- *)
 
 let gen_cmd =
-  let run verbose seed count out check jobs serve_sample budget vlevel solver
-      inject =
+  let run verbose seed count out check jobs serve_sample budget vlevel inject =
     setup_logs verbose;
     let arm = parse_inject inject in
     let inject_spec =
@@ -822,7 +795,7 @@ let gen_cmd =
       in
       let cfg =
         { Corpus.jobs; budget; vlevel; arm; inject = inject_spec;
-          serve_sample; solver }
+          serve_sample }
       in
       let summary = Corpus.run_campaign cfg scenarios in
       Fmt.pr "%a@." Corpus.pp_summary summary;
@@ -879,7 +852,7 @@ let gen_cmd =
               ~doc:
                 "Cross-check this many scenarios through the serve core \
                  for byte identity with the batch plane (0 disables).")
-      $ budget_term $ validate_arg $ solver_arg $ inject_arg)
+      $ budget_term $ validate_arg $ inject_arg)
 
 (* --- baseline --- *)
 

@@ -209,7 +209,7 @@ let check_data_race ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
                   case;
                 ]
             in
-            match Lazy_solve.solve env f with
+            match Mso.solve env f with
             | Some model ->
               found :=
                 Some
@@ -618,7 +618,7 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
         in
         if not tuple_conflicts then `Cheap
         else if
-          not (Lazy_solve.satisfiable dep_env_p (dep_side enc ns_p1 ns_p2 q1 q2))
+          not (Mso.satisfiable dep_env_p (dep_side enc ns_p1 ns_p2 q1 q2))
         then `Cheap
         else `Work
       in
@@ -649,9 +649,9 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
                 if
                   !found = None
                   && Encode.may_conflict enc' q1' q2'
-                  && Lazy_solve.satisfiable dep_env_p
+                  && Mso.satisfiable dep_env_p
                        (dep_side enc ns_p1 ns_p2 q1 q2)
-                  && Lazy_solve.satisfiable dep_env_p'
+                  && Mso.satisfiable dep_env_p'
                        (dep_side enc' ns_q1 ns_q2 q1' q2')
                 then begin
                   on_pair q1 q2;
@@ -661,7 +661,7 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
                   List.iter
                     (fun f ->
                       if !found = None then
-                        match Lazy_solve.solve flat_env f with
+                        match Mso.solve flat_env f with
                         | Some model ->
                           found :=
                             Some

@@ -8,7 +8,6 @@ type config = {
   arm : (unit -> unit) option;
   inject : (string * int * int) option;
   serve_sample : int;
-  solver : Lazy_solve.backend;
 }
 
 (* The default per-query budget caps every axis: deterministic (no wall
@@ -44,7 +43,6 @@ let default_config =
     arm = None;
     inject = None;
     serve_sample = 4;
-    solver = Lazy_solve.Eager;
   }
 
 type disagreement = {
@@ -124,15 +122,11 @@ let build_tasks (cfg : config) (scenarios : Factory.scenario list) :
     tasks := task :: !tasks
   in
   let wrap solve _slice =
-    (* Backend selection is domain-local, so it must be made inside the
-       task body — on whichever worker domain runs the query — exactly
-       like fault re-arming below. *)
-    Lazy_solve.with_backend cfg.solver (fun () ->
-        match cfg.arm with
-        | None -> solve ()
-        | Some arm ->
-          arm ();
-          Fun.protect ~finally:Faults.disarm solve)
+    match cfg.arm with
+    | None -> solve ()
+    | Some arm ->
+      arm ();
+      Fun.protect ~finally:Faults.disarm solve
   in
   List.iteri
     (fun i (sc : Factory.scenario) ->
@@ -224,7 +218,6 @@ let run_serve_plane (cfg : config) (scenarios : Factory.scenario list)
         Serve.client = "corpus";
         budget = cfg.budget;
         vlevel = cfg.vlevel;
-        solver = cfg.solver;
         inject = cfg.inject;
       }
     in

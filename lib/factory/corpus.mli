@@ -28,10 +28,6 @@ type config = {
   serve_sample : int;
       (** how many scenarios to cross-check through {!Serve.Core} for
           byte identity with the batch plane (0 skips the plane) *)
-  solver : Lazy_solve.backend;
-      (** which WSkS backend decides every query in the campaign
-          (selected per worker domain, exactly as [retreet batch
-          --solver] does); ground truth is backend-independent *)
 }
 
 val default_budget : Engine.budget

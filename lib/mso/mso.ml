@@ -306,44 +306,8 @@ let project_bound next a =
   in
   Treeauto.project v a
 
-(* The atom automaton under an explicit track assignment.  This is the
-   single source of atoms for both backends: the lazy solver's term DAG
-   (see lazy_solve.ml) bottoms out in exactly the automata the eager
-   pipeline products together, which is what makes the two backends
-   recognize the same languages by construction. *)
-let compile_atom tenv f =
-  let t v =
-    match List.assoc_opt v tenv with
-    | Some tr -> tr
-    | None -> invalid_arg (Printf.sprintf "Mso.compile: unbound variable %s" v)
-  in
-  match f with
-  | True -> Treeauto.const true
-  | False -> Treeauto.const false
-  | Sub (a, b) -> auto_sub (t a) (t b)
-  | EqSet (a, b) -> auto_eqset (t a) (t b)
-  | EmptySet a -> auto_empty (t a)
-  | Sing a -> auto_sing (t a)
-  | Mem (a, b) -> auto_mem (t a) (t b)
-  | EqPos (a, b) -> auto_eqpos (t a) (t b)
-  | LeftOf (a, b) -> auto_child ~left:true (t a) (t b)
-  | RightOf (a, b) -> auto_child ~left:false (t a) (t b)
-  | Root a -> auto_root (t a)
-  | IsNil a -> auto_isnil (t a)
-  | Reach (a, b) -> auto_reach (t a) (t b)
-  | AgreeAbove (z, strict, incl) ->
-    let tr = List.map (fun (a, b) -> (t a, t b)) in
-    auto_agree_above (t z) (tr strict) (tr incl)
-  | Not _ | And _ | Or _ | Imp _ | Iff _
-  | Exists2 _ | Forall2 _ | Exists1 _ | Forall1 _ ->
-    invalid_arg "Mso.compile_atom: not an atomic formula"
-
-let sing_auto = auto_sing
-
-(* The compiler proper, under an explicit track assignment.  Exposed (as
-   [compile_sub]) so the lazy backend can hand its quantifier-free
-   subterms to the eager pipeline — product and complement of minimized
-   DTAs never blow up; only projection's subset construction does. *)
+(* The compiler proper, under an explicit track assignment of the free
+   variables ([next] is the first free track, used for bound variables). *)
 let rec compile_sub tenv next f =
   let cache = cache () in
   let key_env =
@@ -363,10 +327,28 @@ let rec compile_sub tenv next f =
 
 and comp_raw tenv next f =
   let comp = compile_sub in
+  let t v =
+    match List.assoc_opt v tenv with
+    | Some tr -> tr
+    | None -> invalid_arg (Printf.sprintf "Mso.compile: unbound variable %s" v)
+  in
     match f with
-    | True | False | Sub _ | EqSet _ | EmptySet _ | Sing _ | Mem _ | EqPos _
-    | LeftOf _ | RightOf _ | Root _ | IsNil _ | Reach _ | AgreeAbove _ ->
-      compile_atom tenv f
+    | True -> Treeauto.const true
+    | False -> Treeauto.const false
+    | Sub (a, b) -> auto_sub (t a) (t b)
+    | EqSet (a, b) -> auto_eqset (t a) (t b)
+    | EmptySet a -> auto_empty (t a)
+    | Sing a -> auto_sing (t a)
+    | Mem (a, b) -> auto_mem (t a) (t b)
+    | EqPos (a, b) -> auto_eqpos (t a) (t b)
+    | LeftOf (a, b) -> auto_child ~left:true (t a) (t b)
+    | RightOf (a, b) -> auto_child ~left:false (t a) (t b)
+    | Root a -> auto_root (t a)
+    | IsNil a -> auto_isnil (t a)
+    | Reach (a, b) -> auto_reach (t a) (t b)
+    | AgreeAbove (z, strict, incl) ->
+      let tr = List.map (fun (a, b) -> (t a, t b)) in
+      auto_agree_above (t z) (tr strict) (tr incl)
     | Not g -> Treeauto.complement (comp tenv next g)
     | And gs -> Treeauto.inter_list (List.map (comp tenv next) gs)
     | Or gs -> Treeauto.union_list (List.map (comp tenv next) gs)

@@ -97,39 +97,6 @@ val compile : env -> formula -> Treeauto.t
     environment's variables as tracks, in order).  Exposed for benchmarks
     and for the MONA-interop layer. *)
 
-(** {1 Backend internals}
-
-    Shared with the lazy solver ({!Lazy_solve}), whose automata-term DAG
-    bottoms out in the very atoms the eager pipeline products together —
-    the construction-level argument that the two backends decide the same
-    languages. *)
-
-val compile_atom : (var * int) list -> formula -> Treeauto.t
-(** The automaton of an atomic formula under an explicit track
-    assignment.
-    @raise Invalid_argument on a non-atomic formula or an unbound
-    variable. *)
-
-val sing_auto : int -> Treeauto.t
-(** The "track [i] is a singleton" automaton — the constraint both
-    backends conjoin at first-order quantifiers and for first-order free
-    variables. *)
-
-val project_bound : int -> Treeauto.t -> Treeauto.t
-(** Erase the given track — the projection step at a quantifier, with
-    its [mso.projection_shift] fault site.  Both backends project
-    through this function, so an armed campaign corrupts them the same
-    way. *)
-
-val compile_sub : (var * int) list -> int -> formula -> Treeauto.t
-(** Eagerly compile any subformula under an explicit track assignment
-    ([next] is the first free track, used for bound variables).  Shares
-    the session compile cache with {!compile}.  The lazy backend hands
-    its {e maximal quantifier-free} subterms here: products and
-    complements of minimized automata stay small, so laziness starts
-    exactly where it pays — at projections, whose subset construction
-    the term DAG leaves unevaluated. *)
-
 (** {1 Reference semantics (for testing)} *)
 
 val eval :

@@ -1,14 +1,11 @@
-(* Work-stealing domain pool.  See pool.mli for the contract.
+(* Domain pools.  See pool.mli for the contract.
 
-   Determinism: each task writes its result into a dedicated slot of a
-   pre-sized array (indexed by submission order), and runs under a fresh
-   Solver_ctx, so neither the scheduling order nor the worker count can
-   influence any individual result or the order results are returned in.
-
-   Scheduling: tasks are dealt round-robin into one queue per worker;
-   a worker drains its own queue first and then steals from the others.
-   Queues are plain Queue.t under one mutex each — contention is one
-   lock acquisition per task, negligible next to solver work. *)
+   One scheduler: [Supervised] owns the worker domains, the job queue and
+   cancellation; [run_batch] is a short-lived [Supervised] pool whose jobs
+   never crash.  Determinism: every task runs under a fresh Solver_ctx and
+   results are collected by awaiting the tickets in submission order, so
+   neither the scheduling order nor the worker count can influence any
+   individual result or the order results are returned in. *)
 
 let slice_share ~left ~remaining ~jobs =
   if left <= 0. || remaining <= 0 then 0.
@@ -17,120 +14,11 @@ let slice_share ~left ~remaining ~jobs =
     let rounds = max 1 ((remaining + jobs - 1) / jobs) in
     left /. float_of_int rounds
 
-(* Concurrency-layer fault sites (see pool.mli).  [steal_site] perturbs
-   only scheduling; [submit_site] simulates worker crashes for the
-   supervised pool. *)
-let steal_site =
-  Faults.register ~name:"pool.steal"
-    ~descr:"skip one victim queue during a batch work-stealing scan" ()
-
+(* Concurrency-layer fault site (see pool.mli): simulates worker crashes
+   for the supervised pool. *)
 let submit_site =
   Faults.register ~name:"pool.submit"
     ~descr:"crash the worker that picks up a submitted supervised job" ()
-
-type worker_queue = { m : Mutex.t; q : (unit -> unit) Queue.t }
-
-let pop wq =
-  Mutex.lock wq.m;
-  let t = if Queue.is_empty wq.q then None else Some (Queue.pop wq.q) in
-  Mutex.unlock wq.m;
-  t
-
-(* Steal scan starting after the worker's own queue, so workers spread
-   over victims instead of all hammering queue 0.  A firing
-   [steal_site] skips a victim: correctness cannot depend on stealing —
-   every task sits in some worker's own queue — so this only perturbs
-   scheduling. *)
-let steal queues self =
-  let n = Array.length queues in
-  let rec go k =
-    if k = n then None
-    else if Faults.fire steal_site then go (k + 1)
-    else
-      match pop queues.((self + k) mod n) with
-      | Some _ as t -> t
-      | None -> go (k + 1)
-  in
-  go 1
-
-let cancelled_reason = { Engine.resource = Engine.Wall_clock; used = 0; limit = 0 }
-
-let run_batch ~jobs ?(budget = Engine.unlimited) tasks =
-  let n = List.length tasks in
-  let jobs = max 1 (min jobs (max 1 n)) in
-  let results = Array.make n None in
-  let crashed = Atomic.make None in
-  let deadline =
-    match budget.Engine.timeout with
-    | None -> infinity
-    | Some s -> Unix.gettimeofday () +. s
-  in
-  (* Tasks not yet started, for wall-clock slicing. *)
-  let remaining = Atomic.make n in
-  let cancel = Atomic.make false in
-  let run_one idx task =
-    let rem = Atomic.fetch_and_add remaining (-1) in
-    let left = deadline -. Unix.gettimeofday () in
-    if Atomic.get cancel || (deadline < infinity && left <= 0.) then begin
-      Atomic.set cancel true;
-      results.(idx) <- Some (Error cancelled_reason)
-    end
-    else begin
-      let task_budget =
-        if deadline = infinity then budget
-        else
-          { budget with
-            Engine.timeout = Some (slice_share ~left ~remaining:rem ~jobs) }
-      in
-      match
-        (* [with_budget unlimited] installs nothing; it is used here only
-           as the guard that converts a stray [Out_of_budget] (or stack /
-           heap exhaustion) escaping the task into an [Error]. *)
-        Solver_ctx.with_fresh (fun () ->
-            Engine.with_budget Engine.unlimited (fun () -> task task_budget))
-      with
-      | r -> results.(idx) <- Some r
-      | exception e ->
-        (* A non-budget exception escaping a task is a batch-level
-           failure: record the first one, cancel the rest, and re-raise
-           from the caller once workers drain. *)
-        ignore (Atomic.compare_and_set crashed None (Some e));
-        Atomic.set cancel true;
-        results.(idx) <- Some (Error cancelled_reason)
-    end
-  in
-  let queues =
-    Array.init jobs (fun _ -> { m = Mutex.create (); q = Queue.create () })
-  in
-  List.iteri
-    (fun i task -> Queue.push (fun () -> run_one i task) queues.(i mod jobs).q)
-    tasks;
-  let worker self =
-    let rec loop () =
-      match pop queues.(self) with
-      | Some t -> t (); loop ()
-      | None -> (
-        match steal queues self with
-        | Some t -> t (); loop ()
-        | None -> ())
-    in
-    loop ()
-  in
-  if jobs = 1 then worker 0
-  else begin
-    let domains =
-      Array.init (jobs - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
-    in
-    worker 0;
-    Array.iter Domain.join domains
-  end;
-  (match Atomic.get crashed with Some e -> raise e | None -> ());
-  Array.to_list results
-  |> List.map (function
-       | Some r -> r
-       | None -> Error cancelled_reason (* unreachable: every slot is written *))
-
-(* --- supervised persistent pool ------------------------------------- *)
 
 module Supervised = struct
   type 'a outcome =
@@ -161,7 +49,6 @@ module Supervised = struct
   type 'a t = {
     m : Mutex.t;
     nonempty : Condition.t;  (* queue grew or state changed: workers wake *)
-    idle : Condition.t;  (* a job resolved: drain waiters wake *)
     mutable front : 'a job list;
     mutable back : 'a job list;
     mutable queued : int;
@@ -179,44 +66,12 @@ module Supervised = struct
     Mutex.lock t.m;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
-  (* All three called with [t.m] held. *)
-  let push_back t j =
-    t.back <- j :: t.back;
+  (* Called with [t.m] held. *)
+  let push t ~front j =
+    if front then t.front <- j :: t.front else t.back <- j :: t.back;
     t.queued <- t.queued + 1;
     if t.queued > t.s.max_depth then t.s <- { t.s with max_depth = t.queued };
     Condition.signal t.nonempty
-
-  let push_front t j =
-    t.front <- j :: t.front;
-    t.queued <- t.queued + 1;
-    if t.queued > t.s.max_depth then t.s <- { t.s with max_depth = t.queued };
-    Condition.signal t.nonempty
-
-  let pop_job t =
-    match t.front with
-    | j :: rest ->
-      t.front <- rest;
-      t.queued <- t.queued - 1;
-      Some j
-    | [] -> (
-      match t.back with
-      | [] -> None
-      | back ->
-        (match List.rev back with
-        | j :: rest ->
-          t.front <- rest;
-          t.back <- [];
-          t.queued <- t.queued - 1;
-          Some j
-        | [] -> None))
-
-  (* Resolve a job that was never accepted into the queue (it has no
-     [outstanding] slot).  Called with [t.m] held. *)
-  let resolve_detached j outcome =
-    if j.result = None then begin
-      j.result <- Some outcome;
-      Condition.broadcast j.resolved
-    end
 
   let resolve t j outcome =
     (* with [t.m] held *)
@@ -226,71 +81,79 @@ module Supervised = struct
       (match outcome with
       | Done _ -> t.s <- { t.s with completed = t.s.completed + 1 }
       | Crashed _ | Cancelled _ -> ());
-      Condition.broadcast j.resolved;
-      Condition.broadcast t.idle
+      Condition.broadcast j.resolved
     end
+
+  (* Take the next job, with [t.m] held: [None] once the pool is
+     drained, or (when not [wait]ing) when the queue is empty. *)
+  let rec take t ~wait =
+    if t.front == [] then begin
+      t.front <- List.rev t.back;
+      t.back <- []
+    end;
+    if t.killed || (t.stopping && t.queued = 0) then None
+    else
+      match t.front with
+      | j :: rest ->
+        t.front <- rest;
+        t.queued <- t.queued - 1;
+        Some j
+      | [] when wait ->
+        Condition.wait t.nonempty t.m;
+        take t ~wait
+      | [] -> None
+
+  let run_job j =
+    j.attempts <- j.attempts + 1;
+    if j.sabotaged then
+      raise (Faults.Injected_crash (Faults.site_name submit_site))
+    else j.work ()
+
+  (* A job died with [e]: requeue it at the front for another attempt,
+     or resolve it [Crashed] once its retries are spent.  With [t.m]
+     held. *)
+  let on_crash t j e =
+    t.s <- { t.s with crashes = t.s.crashes + 1 };
+    if j.attempts <= t.max_retries && not (t.stopping || t.killed) then begin
+      t.s <- { t.s with retries = t.s.retries + 1 };
+      push t ~front:true j
+    end
+    else
+      resolve t j
+        (Crashed { attempts = j.attempts; last_exn = Printexc.to_string e })
 
   (* The worker-domain body: pull jobs until drained.  Returns normally
      on drain; returns the crashing job and exception when a job dies,
      so the supervisor thread can requeue and respawn. *)
   type 'a worker_exit = Drained | Worker_crash of 'a job * exn
 
-  let worker_body t =
-    let rec next () =
-      Mutex.lock t.m;
-      let rec await () =
-        if t.killed || (t.stopping && t.queued = 0) then None
-        else
-          match pop_job t with
-          | Some j -> Some j
-          | None ->
-            Condition.wait t.nonempty t.m;
-            await ()
-      in
-      let j = await () in
-      Mutex.unlock t.m;
-      match j with
-      | None -> Drained
-      | Some j -> (
-        j.attempts <- j.attempts + 1;
-        match
-          if j.sabotaged then
-            raise (Faults.Injected_crash (Faults.site_name submit_site))
-          else j.work ()
-        with
-        | v ->
-          locked t (fun () -> resolve t j (Done v));
-          next ()
-        | exception e -> Worker_crash (j, e))
-    in
-    next ()
+  let rec worker_body t =
+    match locked t (fun () -> take t ~wait:true) with
+    | None -> Drained
+    | Some j -> (
+      match run_job j with
+      | v ->
+        locked t (fun () -> resolve t j (Done v));
+        worker_body t
+      | exception e -> Worker_crash (j, e))
 
   (* One supervisor thread per worker slot: spawn the domain, join it,
      and on a crash handle the victim job, wait out the backoff, and
      respawn — forever, until drain. *)
-  let rec supervise t slot ~consecutive =
+  let rec supervise t ~consecutive =
     let d = Domain.spawn (fun () -> worker_body t) in
     match Domain.join d with
     | Drained -> ()
     | Worker_crash (j, e) ->
       let respawn =
         locked t (fun () ->
-            t.s <- { t.s with crashes = t.s.crashes + 1 };
-            (if j.attempts <= t.max_retries && not (t.stopping || t.killed)
-             then begin
-               t.s <- { t.s with retries = t.s.retries + 1 };
-               push_front t j
-             end
-            else
-              resolve t j
-                (Crashed
-                   { attempts = j.attempts; last_exn = Printexc.to_string e }));
+            on_crash t j e;
             not t.killed)
       in
       if respawn then begin
         Thread.delay (t.backoff consecutive);
         locked t (fun () -> t.s <- { t.s with restarts = t.s.restarts + 1 });
-        supervise t slot ~consecutive:(consecutive + 1)
+        supervise t ~consecutive:(consecutive + 1)
       end
 
   let create ~workers ?(max_retries = 1) ?(backoff = default_backoff) () =
@@ -298,7 +161,6 @@ module Supervised = struct
       {
         m = Mutex.create ();
         nonempty = Condition.create ();
-        idle = Condition.create ();
         front = [];
         back = [];
         queued = 0;
@@ -312,9 +174,8 @@ module Supervised = struct
         backoff;
       }
     in
-    for slot = 0 to max 1 workers - 1 do
-      ignore
-        (Thread.create (fun () -> supervise t slot ~consecutive:0) ())
+    for _ = 1 to workers do
+      ignore (Thread.create (fun () -> supervise t ~consecutive:0) ())
     done;
     t
 
@@ -330,28 +191,33 @@ module Supervised = struct
     in
     locked t (fun () ->
         if t.stopping || t.killed then
-          resolve_detached j (Cancelled "pool is draining")
+          (* never queued, so nobody can be waiting on it yet *)
+          j.result <- Some (Cancelled "pool is draining")
         else begin
           t.s <- { t.s with submitted = t.s.submitted + 1 };
           t.outstanding <- t.outstanding + 1;
-          push_back t j
+          push t ~front:false j
         end);
     j
 
   let await t j =
-    Mutex.lock t.m;
-    let rec loop () =
-      match j.result with
-      | Some r -> r
-      | None ->
-        Condition.wait j.resolved t.m;
-        loop ()
-    in
-    let r = loop () in
-    Mutex.unlock t.m;
-    r
+    locked t (fun () ->
+        while j.result = None do Condition.wait j.resolved t.m done;
+        Option.get j.result)
 
   let run t work = await t (submit t work)
+
+  (* The calling thread as one more worker, until the queue is empty.  A
+     job that raises here is a crash like on a worker domain, minus the
+     respawn: the caller's domain survives it. *)
+  let rec work t =
+    match locked t (fun () -> take t ~wait:false) with
+    | None -> ()
+    | Some j ->
+      (match run_job j with
+      | v -> locked t (fun () -> resolve t j (Done v))
+      | exception e -> locked t (fun () -> on_crash t j e));
+      work t
 
   let depth t = locked t (fun () -> t.queued)
   let stats t = locked t (fun () -> t.s)
@@ -369,19 +235,82 @@ module Supervised = struct
       Mutex.lock t.m
     done;
     t.killed <- true;
-    let cancelled = ref 0 in
-    let cancel j =
-      if j.result = None then begin
-        incr cancelled;
-        resolve t j (Cancelled "drain deadline passed before a worker ran it")
-      end
-    in
-    List.iter cancel t.front;
-    List.iter cancel (List.rev t.back);
+    (* queued jobs are unresolved: a job is resolved only once taken *)
+    let tail = t.front @ List.rev t.back in
+    let why = "drain deadline passed before a worker ran it" in
+    List.iter (fun j -> resolve t j (Cancelled why)) tail;
     t.front <- [];
     t.back <- [];
     t.queued <- 0;
     Condition.broadcast t.nonempty;
     Mutex.unlock t.m;
-    !cancelled
+    List.length tail
 end
+
+(* --- batch on the supervised pool ------------------------------------ *)
+
+let cancelled_reason = { Engine.resource = Engine.Wall_clock; used = 0; limit = 0 }
+
+let run_batch ~jobs ?(budget = Engine.unlimited) tasks =
+  let n = List.length tasks in
+  let jobs = max 1 (min jobs (max 1 n)) in
+  let deadline =
+    match budget.Engine.timeout with
+    | None -> infinity
+    | Some s -> Unix.gettimeofday () +. s
+  in
+  (* Tasks not yet started, for wall-clock slicing. *)
+  let remaining = Atomic.make n in
+  let cancel = Atomic.make false in
+  let crashed = Atomic.make None in
+  let run_one task () =
+    let rem = Atomic.fetch_and_add remaining (-1) in
+    let left = deadline -. Unix.gettimeofday () in
+    if Atomic.get cancel || (deadline < infinity && left <= 0.) then begin
+      Atomic.set cancel true;
+      Error cancelled_reason
+    end
+    else
+      let task_budget =
+        if deadline = infinity then budget
+        else
+          { budget with
+            Engine.timeout = Some (slice_share ~left ~remaining:rem ~jobs) }
+      in
+      match
+        (* [with_budget unlimited] installs nothing; it is used here only
+           as the guard that converts a stray [Out_of_budget] (or stack /
+           heap exhaustion) escaping the task into an [Error]. *)
+        Solver_ctx.with_fresh (fun () ->
+            Engine.with_budget Engine.unlimited (fun () -> task task_budget))
+      with
+      | r -> r
+      | exception e ->
+        (* A non-budget exception escaping a task is a batch-level
+           failure: record the first one, cancel the rest, and re-raise
+           from the caller once the pool drains.  Catching it here keeps
+           it from looking like a worker crash to the supervisor. *)
+        ignore (Atomic.compare_and_set crashed None (Some e));
+        Atomic.set cancel true;
+        Error cancelled_reason
+  in
+  (* The calling domain is one of the [jobs] workers: an extra domain
+     idling in [await] would still have to join every stop-the-world
+     minor collection of the busy ones. *)
+  let pool = Supervised.create ~workers:(jobs - 1) () in
+  let tickets =
+    List.map (fun task -> Supervised.submit pool (run_one task)) tasks
+  in
+  Supervised.work pool;
+  let results =
+    List.map
+      (fun ticket ->
+        match Supervised.await pool ticket with
+        | Supervised.Done r -> r
+        | Supervised.Crashed _ | Supervised.Cancelled _ ->
+          Error cancelled_reason)
+      tickets
+  in
+  ignore (Supervised.drain pool);
+  (match Atomic.get crashed with Some e -> raise e | None -> ());
+  results

@@ -1,14 +1,17 @@
-(** Work-stealing domain pool for batch solving.
+(** Domain pools for solving.
+
+    {!Supervised} is the one scheduler: persistent worker domains, one
+    job queue, crash isolation and drain.  {!run_batch} runs a batch of
+    tasks on a short-lived {!Supervised} pool.
 
     [run_batch ~jobs tasks] executes every task and returns the results
     in submission order, regardless of which worker ran what or in which
-    order — callers can rely on output being byte-identical to the
-    serial run.  Each task runs under a {e fresh} {!Solver_ctx} (cold
+    order — callers can rely on output being byte-identical for every
+    [jobs].  Each task runs under a {e fresh} {!Solver_ctx} (cold
     hash-cons stores and memo caches), so a task's result is a pure
     function of the task alone: cache warmth from earlier tasks can
     never change fault-injection hit sequences, witness shapes, or
-    verdicts.  The serial fallback ([jobs <= 1]) uses the exact same
-    per-task wrapping on the calling domain.
+    verdicts.
 
     Budgets: each task receives a budget derived from [budget] — the
     node/state/step caps verbatim (they apply per query, as if each ran
@@ -32,13 +35,6 @@ val slice_share : left:float -> remaining:int -> jobs:int -> float
     [left <= 0.] or [remaining <= 0].  Pure — exercised directly by
     unit tests. *)
 
-val steal_site : Faults.site
-(** The ["pool.steal"] fault site: when armed (on the calling domain), a
-    firing hit makes the work-stealing scan of {!run_batch} skip one
-    victim queue.  Purely a scheduling perturbation — every task still
-    runs on its home worker, so results are unchanged by construction
-    (the pinned test asserts it). *)
-
 val submit_site : Faults.site
 (** The ["pool.submit"] fault site: when armed on the domain that calls
     {!Supervised.submit}, a firing hit marks the submitted job as
@@ -53,25 +49,27 @@ val run_batch :
   ?budget:Engine.budget ->
   (Engine.budget -> 'a) list ->
   ('a, Engine.reason) result list
-(** [run_batch ~jobs ?budget tasks] runs the tasks on [max 1 jobs]
-    domains ([jobs <= 1] runs serially on the calling domain, with
-    identical semantics) and returns one result per task, in submission
-    order.  Tasks must not share mutable state: each runs under a fresh
-    {!Solver_ctx} on whichever domain picked it up, receiving its
-    per-query budget slice as argument.  An {!Engine.Out_of_budget}
-    (or stack/heap exhaustion) escaping a task degrades that task to
-    [Error]; any other exception is a batch-level failure and is
-    re-raised on the calling domain after all workers have drained. *)
+(** [run_batch ~jobs ?budget tasks] runs the tasks on a {!Supervised}
+    pool with [max 1 jobs] workers (never more than there are tasks),
+    the calling domain being one of them, and returns one result per
+    task, in submission order.  Tasks must not share mutable state:
+    each runs under a fresh {!Solver_ctx} on whichever worker picked it
+    up, receiving its per-query budget slice as argument.  An
+    {!Engine.Out_of_budget} (or stack/heap exhaustion) escaping a task
+    degrades that task to [Error]; any other exception is a batch-level
+    failure: the tasks not yet started are cancelled, and the first such
+    exception is re-raised on the calling domain after the pool has
+    drained. *)
 
 (** {1 Supervised persistent pool}
 
-    The long-lived counterpart of {!run_batch}, built for [retreet
-    serve]: worker domains outlive any individual job, an uncaught
-    exception escaping a job ("a worker crash") is isolated — the crash
-    kills only that worker domain, the supervisor respawns it with
-    bounded exponential backoff, and the in-flight job is requeued for
-    bounded retry before degrading to a typed {!Supervised.Crashed}
-    outcome.  The pool itself never dies. *)
+    The scheduler behind {!run_batch} and [retreet serve]: worker
+    domains outlive any individual job, an uncaught exception escaping
+    a job ("a worker crash") is isolated — the crash kills only that
+    worker domain, the supervisor respawns it with bounded exponential
+    backoff, and the in-flight job is requeued for bounded retry before
+    degrading to a typed {!Supervised.Crashed} outcome.  The pool itself
+    never dies. *)
 
 module Supervised : sig
   type 'a t
@@ -107,7 +105,8 @@ module Supervised : sig
     ?backoff:(int -> float) ->
     unit ->
     'a t
-  (** Spawn [max 1 workers] worker domains, each watched by a supervisor
+  (** Spawn [workers] worker domains (none if [workers <= 0]: then only
+      callers of {!work} run jobs), each watched by a supervisor
       thread.  [max_retries] (default 1) bounds how many times a job is
       requeued after a crash before resolving [Crashed]; [backoff]
       (default {!default_backoff}) maps a slot's consecutive-restart
@@ -128,6 +127,12 @@ module Supervised : sig
   val run : 'a t -> (unit -> 'a) -> 'a outcome
   (** [run t work] = [await t (submit t work)].  Thread-safe; any number
       of callers may have jobs in flight. *)
+
+  val work : 'a t -> unit
+  (** Lend the calling thread to the pool: run queued jobs on it until
+      the queue is empty, then return.  A job that raises counts as a
+      crash, as on a worker domain (requeued, then [Crashed]), but the
+      calling thread survives it. *)
 
   val depth : 'a t -> int
   (** Jobs queued and not yet picked up by a worker (admission signal). *)

@@ -4,7 +4,6 @@ type options = {
   client : string;
   budget : Engine.budget;
   vlevel : Validate.level;
-  solver : Lazy_solve.backend;
   inject : (string * int * int) option;
 }
 
@@ -13,7 +12,6 @@ let default_options =
     client = "anonymous";
     budget = Engine.unlimited;
     vlevel = Validate.Witness;
-    solver = Lazy_solve.Eager;
     inject = None;
   }
 
@@ -66,10 +64,6 @@ let options_of_assoc kvs =
           in
           Ok { o with budget }
         | _ -> Error (Printf.sprintf "bad %s %S" k v))
-      | "solver" -> (
-        match List.assoc_opt v Lazy_solve.backend_enum with
-        | Some b -> Ok { o with solver = b }
-        | None -> Error (Printf.sprintf "unknown solver backend %S" v))
       | "inject" ->
         let* t = parse_inject_spec v in
         Ok { o with inject = Some t }
@@ -82,10 +76,6 @@ let options_to_assoc o =
   [ ("client", o.client) ]
   @ (if o.vlevel = default_options.vlevel then []
      else [ ("validate", level_name o.vlevel) ])
-  (* omitted at the default, so fingerprints (and cache snapshots) from
-     before the lazy backend existed stay valid *)
-  @ (if o.solver = default_options.solver then []
-     else [ ("solver", Lazy_solve.backend_name o.solver) ])
   @ opt (fun s -> ("timeout", Printf.sprintf "%.17g" s)) b.Engine.timeout
   @ opt (fun n -> ("max-nodes", string_of_int n)) b.Engine.max_bdd_nodes
   @ opt (fun n -> ("max-states", string_of_int n)) b.Engine.max_states
@@ -199,6 +189,7 @@ module Core = struct
   let create ?(workers = 2) ?(max_queue = 64) ?(cache_nodes = 1_000_000)
       ?allowance ?window ?max_retries ?backoff ?snapshot
       ?(snapshot_every = 64) () =
+    let workers = max 1 workers in
     let cache = Serve_cache.create ~capacity:cache_nodes in
     let loaded, load_status =
       match snapshot with
@@ -217,7 +208,7 @@ module Core = struct
       metrics = Serve_metrics.create ();
       ledger = Engine.Ledger.create ?window ?allowance ();
       max_queue;
-      workers = max 1 workers;
+      workers;
       arm_m = Mutex.create ();
       stopping = false;
       snapshot;
@@ -308,16 +299,15 @@ module Core = struct
     in
     let job () =
       (* exactly the per-query wrapping of batch mode (byte identity):
-         backend selection and cold solver state on the worker domain,
-         budget guard, arming on the worker domain *)
-      Lazy_solve.with_backend options.solver (fun () ->
-          Solver_ctx.with_fresh (fun () ->
-              Engine.metered (fun () ->
-                  match arm with
-                  | None -> query ()
-                  | Some arm ->
-                    arm ();
-                    Fun.protect ~finally:Faults.disarm query)))
+         cold solver state on the worker domain, budget guard, arming on
+         the worker domain *)
+      Solver_ctx.with_fresh (fun () ->
+          Engine.metered (fun () ->
+              match arm with
+              | None -> query ()
+              | Some arm ->
+                arm ();
+                Fun.protect ~finally:Faults.disarm query))
     in
     let ticket =
       (* every submission takes the arming lock: [pool.submit] fires at

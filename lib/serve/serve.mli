@@ -28,17 +28,13 @@ type options = {
   client : string;  (** admission-control identity *)
   budget : Engine.budget;  (** per-query resource budget *)
   vlevel : Validate.level;  (** verdict self-validation level *)
-  solver : Lazy_solve.backend;
-      (** solver backend selected on the worker for this query; verdicts
-          and reply bytes are backend-independent, so both backends share
-          one fingerprint space *)
   inject : (string * int * int) option;
       (** testing only: [(site, seed, period)] armed around the query *)
 }
 
 val default_options : options
 (** Client ["anonymous"], unlimited budget, validation level
-    [Witness], eager solver (the CLI defaults), no injection. *)
+    [Witness] (the CLI defaults), no injection. *)
 
 val parse_inject_spec : string -> (string * int * int, string) result
 (** Parse a ["SITE:SEED[:PERIOD]"] spec (period defaults to 13, the
@@ -47,7 +43,7 @@ val parse_inject_spec : string -> (string * int * int, string) result
 
 val options_of_assoc : (string * string) list -> (options, string) result
 (** Decode wire [k=v] pairs ([client], [validate], [timeout],
-    [max-nodes], [max-states], [max-steps], [solver], [inject]); unknown
+    [max-nodes], [max-states], [max-steps], [inject]); unknown
     keys and unparsable values are errors. *)
 
 val options_to_assoc : options -> (string * string) list

@@ -115,6 +115,13 @@ let prop_compile_agrees_with_eval =
       let auto = compile env f in
       Treeauto.accepts auto labelled = eval shape asg f)
 
+let prop_models_satisfy =
+  QCheck2.Test.make ~name:"solved models satisfy their formula" ~count:200
+    formula_gen (fun f ->
+      match solve env f with
+      | Some { tree; assignment } -> eval tree assignment f
+      | None -> true)
+
 (* --- validities --- *)
 
 let fo_env vars : env = List.map (fun v -> (v, FO)) vars
@@ -284,6 +291,7 @@ let () =
       ( "agreement",
         [
           qt prop_compile_agrees_with_eval;
+          qt prop_models_satisfy;
           Alcotest.test_case "exhaustive templates" `Quick
             test_exhaustive_agreement;
         ] );

@@ -281,6 +281,239 @@ let test_pool_crash_propagates () =
   | _ -> Alcotest.fail "expected the task exception to re-raise"
   | exception Boom -> ()
 
+(* --- run_batch contract, clause by clause (see pool.mli) --- *)
+
+let outcomes ?budget ~jobs tasks expected () =
+  let name = function
+    | Ok _ -> "ok"
+    | Error (r : Engine.reason) -> Engine.resource_name r.Engine.resource
+  in
+  Alcotest.(check (list string)) "outcomes" expected
+    (List.map name (Pool.run_batch ~jobs ?budget tasks))
+
+(* [e] escapes the middle one of three tasks; [never] must be cancelled *)
+let around e = [ ignore; (fun _ -> raise e); ignore ]
+let never _ = raise Boom
+let steps = { Engine.resource = Engine.Solver_steps; used = 2; limit = 1 }
+let caps = Engine.budget ~max_bdd_nodes:8 ~max_states:9 ~max_steps:7 ()
+
+let budgets ?budget jobs n =
+  Pool.run_batch ~jobs ?budget (List.init n (fun _ -> Fun.id))
+
+let all_get ?budget expected () =
+  Alcotest.(check bool) "task budgets" true
+    (List.for_all (( = ) (Ok expected)) (budgets ?budget 2 4))
+
+let batch_contract =
+  [
+    ("empty batch", outcomes ~jobs:4 [] []);
+    ("no budget means unlimited", all_get Engine.unlimited);
+    ("caps passed verbatim", all_get ~budget:caps caps);
+    ( "timeout sliced per task",
+      fun () ->
+        (* serial, so task [i] starts with [4 - i] tasks not yet started *)
+        let budget = Engine.budget ~timeout:10. ~max_steps:7 () in
+        List.iteri
+          (fun i -> function
+            | Ok { Engine.timeout = Some s; max_steps = Some 7; _ }
+              when s > 0. && s <= 10. /. float_of_int (4 - i) -> ()
+            | _ -> Alcotest.failf "task %d: not a slice of the budget" i)
+          (budgets ~budget 1 4) );
+    ( "expired deadline cancels the rest",
+      outcomes ~jobs:1 ~budget:(Engine.budget ~timeout:0.02 ())
+        [ (fun _ -> Unix.sleepf 0.1); never; never ]
+        [ "ok"; "wall-clock"; "wall-clock" ] );
+    ( "Out_of_budget degrades one task",
+      fun () ->
+        Alcotest.(check bool) "reason kept" true
+          (Pool.run_batch ~jobs:2 (around (Engine.Out_of_budget steps))
+          = [ Ok (); Error steps; Ok () ]) );
+    ( "Stack_overflow degrades one task",
+      outcomes ~jobs:2 (around Stack_overflow) [ "ok"; "call-stack"; "ok" ] );
+    ( "Out_of_memory degrades one task",
+      outcomes ~jobs:2 (around Out_of_memory) [ "ok"; "heap-memory"; "ok" ] );
+    ( "crash cancels unstarted tasks",
+      fun () ->
+        let ran = Atomic.make false in
+        Alcotest.check_raises "re-raised" Boom (fun () ->
+            ignore
+              (Pool.run_batch ~jobs:1
+                 [ (fun _ -> raise Boom); (fun _ -> Atomic.set ran true) ]));
+        Alcotest.(check bool) "a later task ran" false (Atomic.get ran) );
+    ( "crash re-raised after in-flight tasks",
+      fun () ->
+        (* whoever takes [slow] first starts it before [Boom] is taken *)
+        let finished = Atomic.make false in
+        let slow _ = Unix.sleepf 0.1; Atomic.set finished true in
+        Alcotest.check_raises "re-raised" Boom (fun () ->
+            ignore (Pool.run_batch ~jobs:2 [ slow; (fun _ -> raise Boom) ]));
+        Alcotest.(check bool) "in-flight done" true (Atomic.get finished) );
+    ( "at most [jobs] domains",
+      fun () ->
+        let task _ = Unix.sleepf 0.002; Domain.self () in
+        List.iter
+          (fun jobs ->
+            let seen = Pool.run_batch ~jobs (List.init 16 (fun _ -> task)) in
+            let n = List.length (List.sort_uniq compare seen) in
+            if n > max 1 jobs then Alcotest.failf "-j %d: %d domains" jobs n)
+          [ 0; 1; 3 ] );
+    ( "fresh context per task",
+      fun () ->
+        let mk _ = Bdd.conj (Bdd.var 0) (Bdd.var 1) in
+        match Pool.run_batch ~jobs:1 [ mk; mk ] with
+        | [ Ok a; Ok b ] ->
+          Alcotest.(check bool) "store shared" false (a == b || a == mk ())
+        | _ -> Alcotest.fail "unexpected Error" );
+    ( "concurrent batches are independent",
+      fun () ->
+        let b k () = Pool.run_batch ~jobs:2 (List.init 9 (fun i _ -> k + i)) in
+        let other = Domain.spawn (b 100) in
+        let mine = b 0 () in
+        Alcotest.(check bool) "own results" true
+          (mine = List.init 9 Result.ok
+          && Domain.join other = List.init 9 (fun i -> Ok (100 + i))) );
+  ]
+
+(* --- the supervised pool itself --- *)
+
+module S = Pool.Supervised
+
+let done_ = function
+  | S.Done v -> v
+  | S.Crashed _ | S.Cancelled _ -> Alcotest.fail "job did not complete"
+
+let cancelled = function S.Cancelled _ -> true | _ -> false
+
+(* [f] on a fresh pool, drained afterwards *)
+let pooled ?max_retries ?backoff workers f () =
+  let p = S.create ~workers ?max_retries ?backoff () in
+  Fun.protect ~finally:(fun () -> ignore (S.drain p)) (fun () -> f p)
+
+let spin_until flag =
+  let give_up = Unix.gettimeofday () +. 10. in
+  while (not (Atomic.get flag)) && Unix.gettimeofday () < give_up do
+    Unix.sleepf 0.005
+  done
+
+let crash_retries max_retries =
+  pooled ~max_retries 0 (fun p ->
+      let t = S.submit p (fun () -> failwith "boom") in
+      S.work p;
+      let { S.crashes; retries; restarts; _ } = S.stats p in
+      Alcotest.(check (list int)) "crashes, retries, restarts"
+        [ max_retries + 1; max_retries; 0 ] [ crashes; retries; restarts ];
+      match S.await p t with
+      | S.Crashed { attempts; last_exn = "Failure(\"boom\")" } ->
+        Alcotest.(check int) "attempts" (max_retries + 1) attempts
+      | _ -> Alcotest.fail "expected Crashed with the job's exception")
+
+let supervised =
+  [
+    ( "work runs the queue on the caller",
+      pooled 0 (fun p ->
+          let log = ref [] in
+          let job i () = log := i :: !log; Domain.self () in
+          let ts = List.init 3 (fun i -> S.submit p (job i)) in
+          Alcotest.(check int) "ran without a worker" 0 (List.length !log);
+          S.work p;
+          Alcotest.(check (list int)) "FIFO" [ 2; 1; 0 ] !log;
+          let here t = done_ (S.await p t) = Domain.self () in
+          Alcotest.(check bool) "on the caller" true (List.for_all here ts)) );
+    ( "depth and stats",
+      pooled 0 (fun p ->
+          List.iter (fun i -> ignore (S.submit p (fun () -> i))) [ 1; 2; 3 ];
+          let queued = S.depth p in
+          S.work p;
+          let { S.submitted; completed; max_depth; _ } = S.stats p in
+          Alcotest.(check (list int)) "depth, stats" [ 3; 0; 3; 3; 3 ]
+            [ queued; S.depth p; submitted; completed; max_depth ]) );
+    ("crash without retries", crash_retries 0);
+    ("crash with two retries", crash_retries 2);
+    ( "caller survives a crashing job",
+      pooled 0 (fun p ->
+          ignore (S.submit p (fun () -> failwith "boom"));
+          let t = S.submit p (fun () -> 42) in
+          S.work p;
+          Alcotest.(check int) "later job ran" 42 (done_ (S.await p t))) );
+    ( "retries run before later jobs",
+      pooled 0 (fun p ->
+          let log = ref [] in
+          let job name () =
+            log := name :: !log;
+            if !log = [ "a" ] then failwith "once"
+          in
+          ignore (S.submit p (job "a"));
+          ignore (S.submit p (job "b"));
+          S.work p;
+          Alcotest.(check (list string)) "order" [ "b"; "a"; "a" ] !log) );
+    ( "respawn after the given backoff",
+      let calls = ref [] in
+      let backoff k = calls := k :: !calls; 0. in
+      pooled ~max_retries:0 ~backoff 1 (fun p ->
+          for _ = 1 to 2 do ignore (S.run p (fun () -> failwith "boom")) done;
+          Alcotest.(check int) "respawned" 7 (done_ (S.run p (fun () -> 7)));
+          Alcotest.(check (list int)) "restarts, backoff indices" [ 2; 1; 0 ]
+            ((S.stats p).S.restarts :: !calls)) );
+    ( "default backoff is bounded",
+      fun () ->
+        Alcotest.(check (list (float 1e-9))) "k = 0, 1, 5, 6, 40"
+          [ 0.01; 0.02; 0.32; 0.5; 0.5 ]
+          (List.map S.default_backoff [ 0; 1; 5; 6; 40 ]) );
+    ( "run after drain is cancelled",
+      fun () ->
+        let p = S.create ~workers:1 () in
+        ignore (S.drain p);
+        Alcotest.(check bool) "cancelled" true (cancelled (S.run p ignore));
+        Alcotest.(check int) "submitted" 0 (S.stats p).S.submitted );
+    ( "drain cancels queued jobs",
+      fun () ->
+        let p = S.create ~workers:0 () in
+        let t = S.submit p ignore in
+        let first = S.drain ~grace:0. p in
+        Alcotest.(check (list int)) "cancelled, then idempotent" [ 1; 0 ]
+          [ first; S.drain p ];
+        Alcotest.(check bool) "job cancelled" true (cancelled (S.await p t)) );
+    ( "drain lets jobs finish within grace",
+      fun () ->
+        let p = S.create ~workers:1 () in
+        let slow = S.submit p (fun () -> Unix.sleepf 0.1; 7) in
+        let queued = S.submit p (fun () -> 8) in
+        Alcotest.(check int) "cancelled" 0 (S.drain ~grace:5. p);
+        Alcotest.(check (list int)) "results" [ 7; 8 ]
+          (List.map (fun t -> done_ (S.await p t)) [ slow; queued ]) );
+    ( "drain past grace cuts the queued tail",
+      fun () ->
+        let p = S.create ~workers:1 () in
+        let started = Atomic.make false and release = Atomic.make false in
+        let held () = Atomic.set started true; spin_until release; 7 in
+        let inflight = S.submit p held in
+        let tail = S.submit p (fun () -> 8) in
+        spin_until started;
+        Alcotest.(check int) "cancelled" 1 (S.drain ~grace:0.05 p);
+        Atomic.set release true;
+        Alcotest.(check int) "in-flight" 7 (done_ (S.await p inflight));
+        Alcotest.(check bool) "tail" true (cancelled (S.await p tail)) );
+    ( "concurrent callers",
+      pooled 2 (fun p ->
+          let ok = Atomic.make 0 in
+          let client c =
+            for i = 1 to 25 do
+              if done_ (S.run p (fun () -> (c, i))) = (c, i) then Atomic.incr ok
+            done
+          in
+          List.iter Thread.join (List.init 4 (Thread.create client));
+          Alcotest.(check int) "own results" 100 (Atomic.get ok)) );
+    ( "await in any order",
+      pooled 2 (fun p ->
+          let ts = List.init 10 (fun i -> (i, S.submit p (fun () -> i * 3))) in
+          List.iter
+            (fun (i, t) ->
+              Alcotest.(check int) "value" (i * 3) (done_ (S.await p t)))
+            (List.rev ts)) );
+  ]
+
+let quick = List.map (fun (name, f) -> Alcotest.test_case name `Quick f)
+
 let () =
   Alcotest.run "parallel"
     [
@@ -321,4 +554,6 @@ let () =
           Alcotest.test_case "task exceptions propagate" `Quick
             test_pool_crash_propagates;
         ] );
+      ("batch contract", quick batch_contract);
+      ("supervised pool", quick supervised);
     ]
