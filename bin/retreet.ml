@@ -17,7 +17,6 @@ let verbose_arg =
    0 = proof, 1 = counterexample/refutation, 2 = usage/parse/wf error,
    3 = unknown (budget exhausted), 4 = verdict failed self-validation. *)
 let exit_unknown = 3
-let exit_validation_failed = 4
 
 let exits =
   Cmd.Exit.info 0 ~doc:"the query was decided: the property HOLDS (proof)."
@@ -31,7 +30,7 @@ let exits =
          "UNKNOWN: the resource budget was exhausted before a verdict \
           (see $(b,--timeout), $(b,--max-nodes), $(b,--max-states), \
           $(b,--max-steps))."
-  :: Cmd.Exit.info exit_validation_failed
+  :: Cmd.Exit.info 4
        ~doc:
          "the VERDICT FAILED SELF-VALIDATION: an independent oracle \
           (counterexample replay, structural invariants, or differential \
@@ -41,19 +40,25 @@ let exits =
        Cmd.Exit.defaults
 
 (* Sources: either a file or one of the built-in case-study programs
-   (prefix "builtin:"). *)
-let load_source (path : string) : Blocks.t =
+   (prefix "builtin:").  [builtin_source] is [None] for a file path and
+   exits 2 on an unknown builtin name. *)
+let builtin_source (path : string) : string option =
   if String.length path > 8 && String.sub path 0 8 = "builtin:" then begin
     let name = String.sub path 8 (String.length path - 8) in
     match List.assoc_opt name Programs.all_named with
-    | Some src -> Programs.load src
+    | Some src -> Some src
     | None ->
       Fmt.epr "unknown builtin %s; available:@.@[<v 2>  %a@]@." name
         Fmt.(list ~sep:cut string)
         (List.map fst Programs.all_named);
       exit 2
   end
-  else
+  else None
+
+let load_source (path : string) : Blocks.t =
+  match builtin_source path with
+  | Some src -> Programs.load src
+  | None -> (
     match Parser.parse_file path with
     | prog -> (
       match Wf.check prog with
@@ -68,7 +73,7 @@ let load_source (path : string) : Blocks.t =
       exit 2
     | exception Sys_error msg ->
       Fmt.epr "%s@." msg;
-      exit 2
+      exit 2)
 
 let file_arg n doc = Arg.(required & pos n (some string) None & info [] ~doc)
 
@@ -150,11 +155,11 @@ let inject_arg =
               descriptions."
              (sites_doc Faults.Solver)))
 
-(* Parse an --inject spec into an arming thunk without arming yet: the
-   single-query commands arm once up front; [batch] re-arms per query
-   (on whichever domain runs it) so every query sees the same fault hit
-   sequence it would see in its own process.  "list" and malformed
-   specs exit immediately either way. *)
+(* Parse an --inject spec ([Faults.parse_spec]) and check its site
+   against the registry, without arming: the single-query commands arm
+   once up front; [batch] re-arms per query (on whichever domain runs
+   it) so every query sees the same fault hit sequence it would see in
+   its own process.  "list" and malformed specs exit immediately. *)
 let parse_inject = function
   | None -> None
   | Some "list" ->
@@ -164,45 +169,44 @@ let parse_inject = function
       (Faults.list_sites ());
     exit 0
   | Some spec -> (
-    let fail () =
+    match Faults.parse_spec spec with
+    | Ok ((site, _, _) as t) when Faults.site_plane site <> None -> Some t
+    | _ ->
       Fmt.epr "bad --inject spec %S (expected SITE:SEED[:PERIOD]); \
                registered sites:@.@[<v 2>  %a@]@."
         spec
         Fmt.(list ~sep:cut string)
         (List.map (fun (n, _, _) -> n) (Faults.list_sites ()));
-      exit 2
-    in
-    let arm site seed period =
-      match (int_of_string_opt seed, period) with
-      | Some seed, Some period ->
-        (* validate the site name now, not on the first arm *)
-        (try ignore (Faults.arm ~period ~site ~seed ())
-         with Invalid_argument _ -> fail ());
-        Faults.disarm ();
-        Some (fun () -> Faults.arm ~period ~site ~seed ())
-      | _ -> fail ()
-    in
-    match String.split_on_char ':' spec with
-    | [ site; seed ] -> arm site seed (Some 13)
-    | [ site; seed; p ] -> arm site seed (int_of_string_opt p)
-    | _ -> fail ())
+      exit 2)
 
-let apply_inject inject =
-  match parse_inject inject with None -> () | Some arm -> arm ()
-
-(* Shared epilogue of the validated commands: print the report when it
-   is interesting, and escalate the exit code on a failed check. *)
-let finish_validated verbose report code =
+(* Shared epilogue of [race] and [equiv]: the verdict line (the line
+   [batch] and the daemon print), then the counterexample, if any, with
+   the outcome of its [replay] check, then the validation report when a
+   check failed (exit 4) or -v asks for it. *)
+let print_validated verbose report (text, code) counterexample =
+  Fmt.pr "%s@." text;
+  Option.iter
+    (fun (pp_cx, replay) ->
+      Fmt.pr "%t@." pp_cx;
+      match
+        List.find_opt
+          (fun (c : Validate.check) -> c.name = replay)
+          report.Validate.checks
+      with
+      | Some { Validate.status = Validate.Passed; _ } ->
+        Fmt.pr "counterexample confirmed by replay.@."
+      | Some { Validate.status = Validate.Failed _; _ } ->
+        Fmt.pr
+          "WARNING: concrete replay does NOT confirm this counterexample.@."
+      | _ -> ())
+    counterexample;
   if not (Validate.ok report) then begin
     Fmt.pr "%a@." Validate.pp_report report;
     Fmt.pr
-      "WARNING: the verdict above FAILED self-validation; do not trust it.@.";
-    exit_validation_failed
+      "WARNING: the verdict above FAILED self-validation; do not trust it.@."
   end
-  else begin
-    if verbose then Fmt.pr "%a@." Validate.pp_report report;
-    code
-  end
+  else if verbose then Fmt.pr "%a@." Validate.pp_report report;
+  code
 
 (* --- check --- *)
 
@@ -237,33 +241,16 @@ let check_cmd =
 let race_cmd =
   let run verbose budget vlevel inject file =
     setup_logs verbose;
-    apply_inject inject;
+    Faults.with_armed (parse_inject inject) @@ fun () ->
     let info = load_source file in
     let result, report = Validate.check_data_race ~level:vlevel ~budget info in
-    let code =
-      match result with
-      | Analysis.Race_free ->
-        Fmt.pr "data-race-free.@.";
-        0
+    print_validated verbose report
+      (Validate.render Analysis.render_race (result, report))
+      (match result with
       | Analysis.Race cx ->
-        Fmt.pr "DATA RACE:@.%a@." (Analysis.pp_counterexample info) cx;
-        (match
-           List.find_opt
-             (fun (c : Validate.check) -> c.Validate.name = "race.replay")
-             report.Validate.checks
-         with
-        | Some { Validate.status = Validate.Passed; _ } ->
-          Fmt.pr "counterexample confirmed by replay.@."
-        | Some { Validate.status = Validate.Failed _; _ } ->
-          Fmt.pr
-            "WARNING: concrete replay does NOT confirm this counterexample.@."
-        | _ -> ());
-        1
-      | Analysis.Race_unknown u ->
-        Fmt.pr "UNKNOWN: %a@." Analysis.pp_progress u;
-        exit_unknown
-    in
-    finish_validated verbose report code
+        Some ((fun ppf -> Analysis.pp_counterexample info ppf cx),
+              "race.replay")
+      | _ -> None)
   in
   Cmd.v
     (Cmd.info "race" ~exits
@@ -287,7 +274,7 @@ let jobs_arg =
 let batch_cmd =
   let run verbose jobs budget vlevel inject files =
     setup_logs verbose;
-    let arm = parse_inject inject in
+    let inject = parse_inject inject in
     if files = [] then begin
       (* An empty batch decided nothing: report where the files were
          expected and exit 3 (unknown), not 0 — harnesses that glob
@@ -305,37 +292,22 @@ let batch_cmd =
     let tasks =
       List.map
         (fun (_, info) task_budget ->
-          let query () =
-            Validate.check_data_race ~level:vlevel ~budget:task_budget info
-          in
-          match arm with
-          | None -> query ()
-          | Some arm ->
-            (* re-armed per query, on the domain that runs it, so every
-               query sees the hit sequence it would see alone *)
-            arm ();
-            Fun.protect ~finally:Faults.disarm query)
+          (* re-armed per query, on the domain that runs it, so every
+             query sees the hit sequence it would see alone *)
+          Faults.with_armed inject (fun () ->
+              Validate.check_data_race ~level:vlevel ~budget:task_budget info))
         infos
     in
     let results = Pool.run_batch ~jobs ~budget tasks in
-    let codes =
-      List.map2
-        (fun (file, _) result ->
-          (* the same rendering the serve daemon uses: byte identity
-             between `retreet batch` and serve-mode replies is this
-             being the only code path *)
-          let text, code = Serve.render_race result in
-          Fmt.pr "%s: %s@." file text;
-          code)
-        infos results
-    in
-    (* Exit with the most severe per-query code: usage (2) trumps failed
-       validation (4), which trumps a counterexample (1), which trumps
-       unknown (3), which trumps an all-clear (0). *)
-    let severity = function 2 -> 4 | 4 -> 3 | 1 -> 2 | 3 -> 1 | _ -> 0 in
-    List.fold_left
-      (fun worst c -> if severity c > severity worst then c else worst)
-      0 codes
+    Validate.worst_code
+      (List.map2
+         (fun (file, _) result ->
+           (* the rendering the serve daemon uses: byte identity between
+              `retreet batch` and serve-mode replies *)
+           let text, code = Validate.render_task Analysis.render_race result in
+           Fmt.pr "%s: %s@." file text;
+           code)
+         infos results)
   in
   Cmd.v
     (Cmd.info "batch" ~exits
@@ -362,28 +334,14 @@ let socket_arg =
           "Unix-domain socket path the daemon listens on (keep it short: \
            the kernel caps socket paths at ~100 bytes).")
 
-(* The server-side --inject: reuse the local UX ("list", early site
-   validation via parse_inject's arm-and-disarm probe), then hand the
-   parsed triple to the server, which arms it for the process lifetime.
-   This is how the I/O-plane sites (wire.*, snapshot.*, accept) are
-   exercised: they fire on the accept/handler threads, never inside a
-   worker's solve, so per-query arming would be meaningless. *)
-let parse_process_inject inject =
-  (match parse_inject inject with Some _ | None -> ());
-  match inject with
-  | None -> None
-  | Some spec -> (
-    match Serve.parse_inject_spec spec with
-    | Ok t -> Some t
-    | Error msg ->
-      Fmt.epr "%s@." msg;
-      exit 2)
-
 let serve_cmd =
   let run verbose socket workers max_queue cache_nodes allowance window
       grace read_deadline snapshot snapshot_every inject =
     setup_logs verbose;
-    let inject = parse_process_inject inject in
+    (* armed on the server process for its whole lifetime: the I/O-plane
+       sites (wire.*, snapshot.*, accept) fire on the accept/handler
+       threads, never inside a worker's solve *)
+    let inject = parse_inject inject in
     Serve_server.run ~socket ~workers ~max_queue ~cache_nodes ~allowance
       ~window ~grace ~read_deadline ?snapshot ~snapshot_every ?inject ()
   in
@@ -473,7 +431,7 @@ let ask_cmd =
     (* a server killed mid-request must surface as EPIPE -> typed error
        -> retry, not kill this client with SIGPIPE *)
     ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-    let inject = parse_process_inject inject in
+    let inject = parse_inject inject in
     (* split the spec by plane: wire.* faults are armed locally, per
        attempt, with the attempt index folded into the seed (each
        attempt reproducible alone, retries exploring fresh positions);
@@ -519,51 +477,38 @@ let ask_cmd =
     end
     else begin
       let source_of path =
-        if String.length path > 8 && String.sub path 0 8 = "builtin:" then begin
-          let name = String.sub path 8 (String.length path - 8) in
-          match List.assoc_opt name Programs.all_named with
-          | Some src -> src
-          | None ->
-            Fmt.epr "unknown builtin %s@." name;
-            exit 2
-        end
-        else
-          match
-            In_channel.with_open_bin path In_channel.input_all
-          with
+        match builtin_source path with
+        | Some src -> src
+        | None -> (
+          match In_channel.with_open_bin path In_channel.input_all with
           | source -> source
           | exception Sys_error msg ->
             Fmt.epr "%s@." msg;
-            exit 2
+            exit 2)
       in
       let opts =
         Serve.options_to_assoc
           { Serve.client; budget; vlevel; inject = remote_inject }
       in
-      let codes =
-        List.map
-          (fun file ->
-            let source = source_of file in
-            let reply = roundtrip (Serve_wire.Solve { opts; source }) in
-            let payload = reply.Serve_client.payload in
-            match reply.Serve_client.status with
-            | "REPLY" ->
-              Fmt.pr "%s: %s@." file payload;
-              reply.Serve_client.code
-            | "ERROR" ->
-              Fmt.epr "%s: %s@." file payload;
-              2
-            | _ ->
-              (* OVERLOADED (retries exhausted) / SERVER-UNKNOWN /
-                 DRAINING: unknown-shaped *)
-              Fmt.pr "%s: %s@." file payload;
-              exit_unknown)
-          files
-      in
-      let severity = function 2 -> 4 | 4 -> 3 | 1 -> 2 | 3 -> 1 | _ -> 0 in
-      List.fold_left
-        (fun worst c -> if severity c > severity worst then c else worst)
-        0 codes
+      Validate.worst_code
+        (List.map
+           (fun file ->
+             let source = source_of file in
+             let reply = roundtrip (Serve_wire.Solve { opts; source }) in
+             let payload = reply.Serve_client.payload in
+             match reply.Serve_client.status with
+             | "REPLY" ->
+               Fmt.pr "%s: %s@." file payload;
+               reply.Serve_client.code
+             | "ERROR" ->
+               Fmt.epr "%s: %s@." file payload;
+               2
+             | _ ->
+               (* OVERLOADED (retries exhausted) / SERVER-UNKNOWN /
+                  DRAINING: unknown-shaped *)
+               Fmt.pr "%s: %s@." file payload;
+               exit_unknown)
+           files)
     end
   in
   Cmd.v
@@ -630,40 +575,18 @@ let map_arg =
 let equiv_cmd =
   let run verbose budget vlevel inject f1 f2 map =
     setup_logs verbose;
-    apply_inject inject;
+    Faults.with_armed (parse_inject inject) @@ fun () ->
     let p = load_source f1 and p' = load_source f2 in
     let result, report =
       Validate.check_equivalence ~level:vlevel ~budget p p' ~map
     in
-    let code =
-      match result with
-      | Analysis.Equivalent { relation } ->
-        Fmt.pr "equivalent (bisimulation with %d call pairs).@."
-          (List.length relation);
-        0
+    print_validated verbose report
+      (Validate.render Analysis.render_equiv (result, report))
+      (match result with
       | Analysis.Not_equivalent cx ->
-        Fmt.pr "NOT equivalent:@.%a@." (Analysis.pp_counterexample p) cx;
-        (match
-           List.find_opt
-             (fun (c : Validate.check) -> c.Validate.name = "equiv.replay")
-             report.Validate.checks
-         with
-        | Some { Validate.status = Validate.Passed; _ } ->
-          Fmt.pr "counterexample confirmed by replay.@."
-        | Some { Validate.status = Validate.Failed _; _ } ->
-          Fmt.pr
-            "WARNING: concrete replay does NOT confirm this counterexample.@."
-        | _ -> ());
-        1
-      | Analysis.Bisimulation_failed why ->
-        (* a definite refutation of the block map, not a usage error *)
-        Fmt.pr "bisimulation failed: %s@." why;
-        1
-      | Analysis.Equiv_unknown u ->
-        Fmt.pr "UNKNOWN: %a@." Analysis.pp_progress u;
-        exit_unknown
-    in
-    finish_validated verbose report code
+        Some ((fun ppf -> Analysis.pp_counterexample p ppf cx),
+              "equiv.replay")
+      | _ -> None)
   in
   Cmd.v
     (Cmd.info "equiv" ~exits
@@ -759,13 +682,7 @@ let fuse_cmd =
 let gen_cmd =
   let run verbose seed count out check jobs serve_sample budget vlevel inject =
     setup_logs verbose;
-    let arm = parse_inject inject in
-    let inject_spec =
-      match inject with
-      | Some spec when arm <> None -> (
-        match Serve.parse_inject_spec spec with Ok t -> Some t | Error _ -> None)
-      | _ -> None
-    in
+    let inject = parse_inject inject in
     if out = None && not check then begin
       (* Mirrors the empty-batch contract: nothing was generated or
          solved, which harnesses must not mistake for a clean campaign. *)
@@ -794,8 +711,7 @@ let gen_cmd =
         if Engine.is_unlimited budget then Corpus.default_budget else budget
       in
       let cfg =
-        { Corpus.jobs; budget; vlevel; arm; inject = inject_spec;
-          serve_sample }
+        { Corpus.jobs; budget; vlevel; inject; serve_sample }
       in
       let summary = Corpus.run_campaign cfg scenarios in
       Fmt.pr "%a@." Corpus.pp_summary summary;

@@ -712,3 +712,22 @@ let replay_equivalence (p : Blocks.t) (p' : Blocks.t)
       [ 2; 3; 4 ]
   in
   List.exists differs trials
+
+(* ------------------------------------------------------------------ *)
+(* Rendering                                                           *)
+
+let render_unknown u = (Fmt.str "UNKNOWN: %a" pp_progress u, 3)
+
+let render_race = function
+  | Race_free -> ("data-race-free", 0)
+  | Race _ -> ("DATA RACE", 1)
+  | Race_unknown u -> render_unknown u
+
+let render_equiv = function
+  | Equivalent { relation } ->
+    ( Fmt.str "equivalent (bisimulation with %d call pairs)"
+        (List.length relation),
+      0 )
+  | Not_equivalent _ -> ("NOT equivalent", 1)
+  | Bisimulation_failed why -> ("bisimulation failed: " ^ why, 1)
+  | Equiv_unknown u -> render_unknown u

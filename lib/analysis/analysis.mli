@@ -139,3 +139,21 @@ val replay_equivalence : Blocks.t -> Blocks.t -> counterexample -> bool
     trees of growing height with varied field contents — and report
     whether any run distinguishes them ([true] = the counterexample is a
     real behavioural difference). *)
+
+(** {1 Rendering}
+
+    The one line of text and the exit code of each verdict, shared by
+    every front end: [retreet race], [equiv], [batch] and [ask], the
+    daemon, the corpus campaign and the bench tables.  Codes: 0 = proof,
+    1 = counterexample or refutation, 3 = unknown.
+    [Validate.render] adds the failed-self-validation suffix (code 4). *)
+
+val render_race : race_result -> string * int
+(** ["data-race-free"] (0), ["DATA RACE"] (1), or ["UNKNOWN: "] and the
+    progress (3). *)
+
+val render_equiv : equiv_result -> string * int
+(** ["equivalent (bisimulation with N call pairs)"] (0),
+    ["NOT equivalent"] (1), ["bisimulation failed: "] and the reason (1:
+    a definite refutation of the block map, not a usage error), or
+    ["UNKNOWN: "] and the progress (3). *)

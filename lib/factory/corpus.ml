@@ -5,7 +5,6 @@ type config = {
   jobs : int;
   budget : Engine.budget;
   vlevel : Validate.level;
-  arm : (unit -> unit) option;
   inject : (string * int * int) option;
   serve_sample : int;
 }
@@ -28,7 +27,7 @@ let default_budget =
 let sabotage_timeout = 5.
 
 let harden cfg =
-  if Option.is_none cfg.arm && Option.is_none cfg.inject then cfg
+  if Option.is_none cfg.inject then cfg
   else
     match cfg.budget.Engine.timeout with
     | Some _ -> cfg
@@ -40,7 +39,6 @@ let default_config =
     jobs = 1;
     budget = default_budget;
     vlevel = Validate.Witness;
-    arm = None;
     inject = None;
     serve_sample = 4;
   }
@@ -75,27 +73,6 @@ type query = {
   q_expect : int;  (** expected exit code *)
 }
 
-(* The equivalence counterpart of [Serve.render_race]: the same exit-code
-   contract the [retreet equiv] command prints (a refuted block map is a
-   definite refutation, exit 1; a failed self-validation is exit 4). *)
-let render_equiv :
-    (Analysis.equiv_result * Validate.report, Engine.reason) result ->
-    string * int = function
-  | Error reason -> (Fmt.str "UNKNOWN: %a" Engine.pp_reason reason, 3)
-  | Ok (result, report) ->
-    let text, code =
-      match result with
-      | Analysis.Equivalent { relation } ->
-        (Fmt.str "equivalent (%d call pairs)" (List.length relation), 0)
-      | Analysis.Not_equivalent _ -> ("NOT equivalent", 1)
-      | Analysis.Bisimulation_failed why ->
-        (Fmt.str "bisimulation failed: %s" why, 1)
-      | Analysis.Equiv_unknown u ->
-        (Fmt.str "UNKNOWN: %a" Analysis.pp_progress u, 3)
-    in
-    if Validate.ok report then (text, code)
-    else (text ^ " [verdict FAILED self-validation]", 4)
-
 let expected_race_code (sc : Factory.scenario) =
   match sc.Factory.sc_expect_race with `Free -> 0 | `Racy -> 1
 
@@ -111,22 +88,24 @@ let load_source (src : string) : (Blocks.t, string) result =
 
 (* Build the flat task list for [Pool.run_batch]: one task per query,
    each re-arming the sabotage fault on its own domain, exactly like
-   [retreet batch].  Returns the descriptors, the thunks, and the
-   disagreements found before solving (sources that failed the front
-   end). *)
+   [retreet batch], and each returning its verdict line with the report
+   ({!Validate.render_task} renders both planes alike).  Returns the
+   descriptors, the thunks, and the disagreements found before solving
+   (sources that failed the front end). *)
 let build_tasks (cfg : config) (scenarios : Factory.scenario list) :
-    query list * (Engine.budget -> string * int) list * disagreement list =
+    query list
+    * (Engine.budget -> (string * int) * Validate.report) list
+    * disagreement list =
   let queries = ref [] and tasks = ref [] and early = ref [] in
   let push q task =
     queries := q :: !queries;
-    tasks := task :: !tasks
+    tasks := (fun _slice -> Faults.with_armed cfg.inject task) :: !tasks
   in
-  let wrap solve _slice =
-    match cfg.arm with
-    | None -> solve ()
-    | Some arm ->
-      arm ();
-      Fun.protect ~finally:Faults.disarm solve
+  let race info () =
+    let r, report =
+      Validate.check_data_race ~level:cfg.vlevel ~budget:cfg.budget info
+    in
+    (Analysis.render_race r, report)
   in
   List.iteri
     (fun i (sc : Factory.scenario) ->
@@ -139,11 +118,7 @@ let build_tasks (cfg : config) (scenarios : Factory.scenario list) :
         push
           { q_scenario = i; q_plane = Race_primary;
             q_expect = expected_race_code sc }
-          (wrap (fun () ->
-               Serve.render_race
-                 (Ok
-                    (Validate.check_data_race ~level:cfg.vlevel
-                       ~budget:cfg.budget info))));
+          (race info);
         match sc.Factory.sc_sibling with
         | None -> ()
         | Some sib -> (
@@ -153,11 +128,7 @@ let build_tasks (cfg : config) (scenarios : Factory.scenario list) :
             (* the fused sibling is sequential: race-free by construction *)
             push
               { q_scenario = i; q_plane = Race_sibling; q_expect = 0 }
-              (wrap (fun () ->
-                   Serve.render_race
-                     (Ok
-                        (Validate.check_data_race ~level:cfg.vlevel
-                           ~budget:cfg.budget sib_info))));
+              (race sib_info);
             let map = sc.Factory.sc_map in
             let expect =
               match sc.Factory.sc_expect_equiv with
@@ -167,11 +138,12 @@ let build_tasks (cfg : config) (scenarios : Factory.scenario list) :
             in
             push
               { q_scenario = i; q_plane = Equiv; q_expect = expect }
-              (wrap (fun () ->
-                   render_equiv
-                     (Ok
-                        (Validate.check_equivalence ~level:cfg.vlevel
-                           ~budget:cfg.budget info sib_info ~map)))))))
+              (fun () ->
+                let r, report =
+                  Validate.check_equivalence ~level:cfg.vlevel
+                    ~budget:cfg.budget info sib_info ~map
+                in
+                (Analysis.render_equiv r, report)))))
     scenarios;
   (List.rev !queries, List.rev !tasks, List.rev !early)
 
@@ -196,12 +168,7 @@ let run_solver_plane (cfg : config) (scenarios : Factory.scenario list) =
   let queries, tasks, early = build_tasks cfg scenarios in
   let results = Pool.run_batch ~jobs:cfg.jobs tasks in
   let outcomes =
-    List.map2
-      (fun q result ->
-        match result with
-        | Ok tc -> (q, tc)
-        | Error reason -> (q, (Fmt.str "UNKNOWN: %a" Engine.pp_reason reason, 3)))
-      queries results
+    List.map2 (fun q r -> (q, Validate.render_task Fun.id r)) queries results
   in
   (outcomes, early)
 

@@ -19,12 +19,11 @@ type config = {
   jobs : int;  (** worker domains for the batch plane *)
   budget : Engine.budget;  (** per-query budget (prefer deterministic caps) *)
   vlevel : Validate.level;
-  arm : (unit -> unit) option;
-      (** per-query fault arming (the [--inject] sabotage), re-armed on
-          whichever domain runs each query, exactly as [retreet batch]
-          does *)
   inject : (string * int * int) option;
-      (** the same spec, as serve-plane solve options *)
+      (** testing only: the [--inject] sabotage as [(site, seed, period)],
+          re-armed on whichever domain runs each query, exactly as
+          [retreet batch] does, and passed to the serve plane as a solve
+          option *)
   serve_sample : int;
       (** how many scenarios to cross-check through {!Serve.Core} for
           byte identity with the batch plane (0 skips the plane) *)

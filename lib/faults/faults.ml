@@ -85,6 +85,29 @@ let armed () =
   | None -> None
   | Some { target; seed; _ } -> Some (target.name, seed)
 
+let parse_spec spec =
+  let fail () =
+    Error
+      (Printf.sprintf "bad inject spec %S (expected SITE:SEED[:PERIOD])" spec)
+  in
+  match String.split_on_char ':' spec with
+  | [ site; seed ] -> (
+    match int_of_string_opt seed with
+    | Some seed -> Ok (site, seed, 13)
+    | None -> fail ())
+  | [ site; seed; period ] -> (
+    match (int_of_string_opt seed, int_of_string_opt period) with
+    | Some seed, Some period when period > 0 -> Ok (site, seed, period)
+    | _ -> fail ())
+  | _ -> fail ()
+
+let with_armed spec f =
+  match spec with
+  | None -> f ()
+  | Some (site, seed, period) ->
+    arm ~period ~site ~seed ();
+    Fun.protect ~finally:disarm f
+
 (* Whether hit [k] of the armed site fires depends only on (site name,
    seed, k): a multiplicative hash of the three, reduced mod the period.
    Different seeds therefore select different (roughly 1/period-density)

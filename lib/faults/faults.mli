@@ -83,6 +83,19 @@ val disarm : unit -> unit
 val armed : unit -> (string * int) option
 (** The armed [(site, seed)], if any. *)
 
+val parse_spec : string -> (string * int * int, string) result
+(** Parse a ["SITE:SEED[:PERIOD]"] spec — the syntax of every [--inject]
+    flag and of the daemon's [inject] solve option — into
+    [(site, seed, period)].  [period] defaults to 13, as in {!arm}, and
+    must be positive.  The site name is not looked up: callers check it
+    against the registry ({!site_plane}) and word their own refusal.  The
+    error reads ["bad inject spec \"SPEC\" (expected SITE:SEED[:PERIOD])"]. *)
+
+val with_armed : (string * int * int) option -> (unit -> 'a) -> 'a
+(** [with_armed (Some (site, seed, period)) f] arms the site on the
+    calling domain, runs [f], and disarms, also when [f] raises.
+    [with_armed None f] is [f ()]. *)
+
 val fire : site -> bool
 (** The hook: [true] iff [site] is armed and fires at this hit.  A single
     [ref] read when nothing is armed. *)

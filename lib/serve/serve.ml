@@ -20,22 +20,6 @@ let level_name l =
   | Some (name, _) -> name
   | None -> assert false (* level_enum is total *)
 
-let parse_inject_spec spec =
-  let fail () =
-    Error
-      (Printf.sprintf "bad inject spec %S (expected SITE:SEED[:PERIOD])" spec)
-  in
-  match String.split_on_char ':' spec with
-  | [ site; seed ] -> (
-    match int_of_string_opt seed with
-    | Some seed -> Ok (site, seed, 13)
-    | None -> fail ())
-  | [ site; seed; period ] -> (
-    match (int_of_string_opt seed, int_of_string_opt period) with
-    | Some seed, Some period when period > 0 -> Ok (site, seed, period)
-    | _ -> fail ())
-  | _ -> fail ()
-
 let options_of_assoc kvs =
   let ( let* ) = Result.bind in
   List.fold_left
@@ -65,7 +49,7 @@ let options_of_assoc kvs =
           Ok { o with budget }
         | _ -> Error (Printf.sprintf "bad %s %S" k v))
       | "inject" ->
-        let* t = parse_inject_spec v in
+        let* t = Faults.parse_spec v in
         Ok { o with inject = Some t }
       | _ -> Error (Printf.sprintf "unknown option %S" k))
     (Ok default_options) kvs
@@ -123,22 +107,6 @@ let reply_hints = function
    I/O-plane — the caller's unknown-site check rejects it anyway. *)
 let io_plane_site name =
   match Faults.site_plane name with Some Faults.Io -> true | _ -> false
-
-(* The one rendering of a data-race query result, shared with [retreet
-   batch]: byte identity between the two modes is this function being
-   the only code path. *)
-let render_race = function
-  | Error reason -> (Fmt.str "UNKNOWN: %a" Engine.pp_reason reason, 3)
-  | Ok (verdict, report) ->
-    let text, code =
-      match verdict with
-      | Analysis.Race_free -> ("data-race-free", 0)
-      | Analysis.Race _ -> ("DATA RACE", 1)
-      | Analysis.Race_unknown u ->
-        (Fmt.str "UNKNOWN: %a" Analysis.pp_progress u, 3)
-    in
-    if Validate.ok report then (text, code)
-    else (text ^ "  [verdict FAILED self-validation]", 4)
 
 let fingerprint ~options ~source =
   let b = Buffer.create (String.length source + 128) in
@@ -262,20 +230,20 @@ module Core = struct
 
   let check_inject = function
     | None -> Ok None
-    | Some (site, seed, period) ->
-      if io_plane_site site then
+    | Some ((site, _, _) as spec) -> (
+      match Faults.site_plane site with
+      | Some Faults.Solver -> Ok (Some spec)
+      | Some Faults.Io ->
         Error
           (Printf.sprintf
              "fault site %S is in the server's I/O plane; arm it with \
               `retreet serve --inject` (server side) or locally in the \
               client, not as a per-query option"
              site)
-      else if List.mem_assoc site (Faults.all_sites ()) then
-        Ok (Some (fun () -> Faults.arm ~period ~site ~seed ()))
-      else
+      | None ->
         Error
           (Printf.sprintf "unknown fault site %S (known: %s)" site
-             (String.concat ", " (List.map fst (Faults.all_sites ()))))
+             (String.concat ", " (List.map fst (Faults.all_sites ())))))
 
   let parse_source source =
     match Parser.parse_program source with
@@ -292,7 +260,7 @@ module Core = struct
   let cacheable options code =
     code <> 3 || options.budget.Engine.timeout = None
 
-  let run_query t ~options ~arm ~info ~key =
+  let run_query t ~options ~inject ~info ~key =
     let query () =
       Validate.check_data_race ~level:options.vlevel ~budget:options.budget
         info
@@ -302,12 +270,7 @@ module Core = struct
          cold solver state on the worker domain, budget guard, arming on
          the worker domain *)
       Solver_ctx.with_fresh (fun () ->
-          Engine.metered (fun () ->
-              match arm with
-              | None -> query ()
-              | Some arm ->
-                arm ();
-                Fun.protect ~finally:Faults.disarm query))
+          Engine.metered (fun () -> Faults.with_armed inject query))
     in
     let ticket =
       (* every submission takes the arming lock: [pool.submit] fires at
@@ -319,19 +282,15 @@ module Core = struct
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.arm_m)
         (fun () ->
-          match arm with
-          | None -> Pool.Supervised.submit t.pool job
-          | Some armf ->
-            armf ();
-            Fun.protect ~finally:Faults.disarm (fun () ->
-                Pool.Supervised.submit t.pool job))
+          Faults.with_armed inject (fun () ->
+              Pool.Supervised.submit t.pool job))
     in
     match Pool.Supervised.await t.pool ticket with
     | Pool.Supervised.Done (r, usage) ->
       Engine.Ledger.charge t.ledger ~client:options.client
         usage.Engine.wall_s;
       Serve_metrics.record_solve t.metrics usage.Engine.wall_s;
-      let text, code = render_race r in
+      let text, code = Validate.render_task Analysis.render_race r in
       if cacheable options code then begin
         Serve_cache.add t.cache ~key ~weight:usage.Engine.nodes (text, code);
         maybe_snapshot t
@@ -385,7 +344,7 @@ module Core = struct
           | Error msg ->
             Serve_metrics.incr t.metrics Serve_metrics.Bad_requests;
             Bad_request msg
-          | Ok arm -> (
+          | Ok inject -> (
             match parse_source source with
             | Error msg ->
               Serve_metrics.incr t.metrics Serve_metrics.Bad_requests;
@@ -394,7 +353,7 @@ module Core = struct
               let key = fingerprint ~options ~source in
               match Serve_cache.find t.cache key with
               | Some (text, code) -> Verdict { code; text }
-              | None -> run_query t ~options ~arm ~info ~key)))
+              | None -> run_query t ~options ~inject ~info ~key)))
     end
 
   let note_bad_request t =

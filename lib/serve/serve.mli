@@ -19,8 +19,8 @@
     Byte identity with [retreet batch] is a hard contract: a cache miss
     runs the query under exactly the per-query wrapping batch mode uses
     (fresh {!Solver_ctx}, budget guard, per-query fault arming on the
-    worker domain), renders it with the same {!render_race}, and a cache
-    hit replays those exact bytes. *)
+    worker domain), renders it with the same {!Validate.render_task} of
+    {!Analysis.render_race}, and a cache hit replays those exact bytes. *)
 
 (** {1 Query options} *)
 
@@ -36,15 +36,12 @@ val default_options : options
 (** Client ["anonymous"], unlimited budget, validation level
     [Witness] (the CLI defaults), no injection. *)
 
-val parse_inject_spec : string -> (string * int * int, string) result
-(** Parse a ["SITE:SEED[:PERIOD]"] spec (period defaults to 13, the
-    CLI's default).  Site-name existence is checked at solve time, where
-    the registry is complete. *)
-
 val options_of_assoc : (string * string) list -> (options, string) result
 (** Decode wire [k=v] pairs ([client], [validate], [timeout],
     [max-nodes], [max-states], [max-steps], [inject]); unknown
-    keys and unparsable values are errors. *)
+    keys and unparsable values are errors.  [inject] takes the
+    {!Faults.parse_spec} syntax; site-name existence is checked at solve
+    time, where the registry is complete. *)
 
 val options_to_assoc : options -> (string * string) list
 (** Encode for the wire; [options_of_assoc (options_to_assoc o) = Ok o]. *)
@@ -88,16 +85,6 @@ val io_plane_site : string -> bool
     classification.  I/O-plane sites are armed on the server process
     ([retreet serve --inject]) or the client, never as per-query solve
     options — {!Core.solve} rejects them with a typed [Bad_request]. *)
-
-(** {1 Rendering} *)
-
-val render_race :
-  (Analysis.race_result * Validate.report, Engine.reason) result ->
-  string * int
-(** Render a data-race query result to the [(text, exit-code)] the CLI
-    prints — the {e single} rendering used by both [retreet batch] and
-    the daemon, so serve-mode verdicts are byte-identical to batch mode
-    by construction. *)
 
 val fingerprint : options:options -> source:string -> string
 (** The content-hash cache key: a digest over the source and every

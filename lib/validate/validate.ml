@@ -53,6 +53,25 @@ let pp_report ppf r =
     r.checks
 
 (* ------------------------------------------------------------------ *)
+(* Rendering                                                           *)
+
+let render verdict_line (v, report) =
+  let text, code = verdict_line v in
+  if ok report then (text, code)
+  else (text ^ "  [verdict FAILED self-validation]", 4)
+
+let render_task verdict_line = function
+  | Ok validated -> render verdict_line validated
+  | Error reason -> (Fmt.str "UNKNOWN: %a" Engine.pp_reason reason, 3)
+
+let severity = function 2 -> 4 | 4 -> 3 | 1 -> 2 | 3 -> 1 | _ -> 0
+
+let worst_code =
+  List.fold_left
+    (fun worst c -> if severity c > severity worst then c else worst)
+    0
+
+(* ------------------------------------------------------------------ *)
 (* Structural invariants                                               *)
 
 (* Deep per-automaton scans are quadratic in the state count; above this

@@ -55,6 +55,29 @@ val failures : report -> check list
 
 val pp_report : Format.formatter -> report -> unit
 
+(** {1 Rendering}
+
+    The verdict line every front end prints, and the exit-code contract
+    around it: {!Analysis.render_race} / {!Analysis.render_equiv} give a
+    verdict's own line and code, these add what validation and
+    scheduling can do to it. *)
+
+val render : ('v -> string * int) -> 'v * report -> string * int
+(** [render verdict_line (v, report)] is [verdict_line v] when the report
+    is {!ok}; otherwise the same text followed by
+    ["  [verdict FAILED self-validation]"], with exit code 4. *)
+
+val render_task :
+  ('v -> string * int) -> ('v * report, Engine.reason) result -> string * int
+(** {!render} for a [Pool.run_batch] task.  [Error reason] is a task the
+    pool cancelled before it ran (batch deadline passed): ["UNKNOWN: "]
+    and the reason, exit code 3. *)
+
+val worst_code : int list -> int
+(** The exit code of a batch: its most severe per-query code, ordered
+    2 (usage) > 4 (failed self-validation) > 1 (counterexample) >
+    3 (unknown) > 0 (proof).  [0] for the empty list. *)
+
 (** {1 Structural invariants}
 
     Exposed for the test suite; {!check_data_race} and

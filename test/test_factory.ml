@@ -104,12 +104,7 @@ let test_campaign_smoke () =
 (* treeauto.swap_final:1 is one of the sites test_validate pins as
    demonstrably verdict-flipping; period 1 makes every hit fire. *)
 let sabotaged_config =
-  {
-    Corpus.default_config with
-    arm =
-      Some
-        (fun () -> Faults.arm ~period:1 ~site:"treeauto.swap_final" ~seed:1 ());
-  }
+  { Corpus.default_config with inject = Some ("treeauto.swap_final", 1, 1) }
 
 let test_sabotage_caught () =
   let scenarios = Factory.sample ~seed:1 ~count:6 in

@@ -2,10 +2,11 @@
 
    The table pins, for each program under [programs/], the data-race
    verdict AND the exit code a client sees — rendered through
-   {!Serve.render_race}, the single rendering shared by [retreet batch]
-   and the daemon, so these goldens cover the presentation contract as
-   well as the solver.  Three cheap equivalence pairs (the paper's E1,
-   E2, E4) are pinned the same way.  A solver change that flips any of
+   {!Validate.render} of {!Analysis.render_race}, the single rendering
+   shared by [retreet race], [retreet batch] and the daemon, so these
+   goldens cover the presentation contract as well as the solver.  Three
+   cheap equivalence pairs (the paper's E1, E2, E4) are pinned the same
+   way, through {!Analysis.render_equiv}.  A solver change that flips any of
    these verdicts, or degrades one to Unknown under the generous budget
    below, fails loudly here instead of surfacing downstream. *)
 
@@ -37,17 +38,13 @@ let test_race_goldens () =
   List.iter
     (fun (name, src, expect) ->
       let info = Programs.load src in
-      let text, code =
-        Serve.render_race
-          (Ok (Validate.check_data_race ~level:Validate.Witness ~budget info))
-      in
-      match expect with
-      | `Free ->
-        Alcotest.(check string) (name ^ ": text") "data-race-free" text;
-        Alcotest.(check int) (name ^ ": exit code") 0 code
-      | `Race ->
-        Alcotest.(check string) (name ^ ": text") "DATA RACE" text;
-        Alcotest.(check int) (name ^ ": exit code") 1 code)
+      Alcotest.(check (pair string int))
+        name
+        (match expect with
+        | `Free -> ("data-race-free", 0)
+        | `Race -> ("DATA RACE", 1))
+        (Validate.render Analysis.render_race
+           (Validate.check_data_race ~level:Validate.Witness ~budget info)))
     race_table
 
 (* Block maps as in bench/main.ml (Table 1). *)
@@ -62,11 +59,13 @@ let map_mutation =
 let equiv_table =
   [
     ("E1 size_counting fusion", Programs.size_counting_seq,
-     Programs.size_counting_fused, map_fused, `Equivalent);
+     Programs.size_counting_fused, map_fused,
+     ("equivalent (bisimulation with 7 call pairs)", 0));
     ("E2 invalid fusion", Programs.size_counting_seq,
-     Programs.size_counting_fused_invalid, map_fused, `Not_equivalent);
+     Programs.size_counting_fused_invalid, map_fused, ("NOT equivalent", 1));
     ("E4 tree_mutation fusion", Programs.tree_mutation_seq,
-     Programs.tree_mutation_fused, map_mutation, `Equivalent);
+     Programs.tree_mutation_fused, map_mutation,
+     ("equivalent (bisimulation with 7 call pairs)", 0));
   ]
 
 let test_equiv_goldens () =
@@ -76,21 +75,15 @@ let test_equiv_goldens () =
       let verdict, report =
         Validate.check_equivalence ~level:Validate.Witness ~budget p p' ~map
       in
-      if not (Validate.ok report) then
-        Alcotest.failf "%s: verdict failed self-validation" name;
-      match (verdict, expect) with
-      | Analysis.Equivalent _, `Equivalent -> ()
-      | Analysis.Not_equivalent cx, `Not_equivalent ->
-        (* the golden counterexample must replay concretely *)
-        if not (Analysis.replay_equivalence p p' cx) then
-          Alcotest.failf "%s: counterexample did not replay" name
-      | v, _ ->
-        Alcotest.failf "%s: verdict flipped (%s)" name
-          (match v with
-          | Analysis.Equivalent _ -> "equivalent"
-          | Analysis.Not_equivalent _ -> "not equivalent"
-          | Analysis.Bisimulation_failed _ -> "bisimulation failed"
-          | Analysis.Equiv_unknown _ -> "unknown"))
+      (* every check ran and passed: the E2 counterexample replayed *)
+      if
+        List.exists
+          (fun (c : Validate.check) -> c.status <> Validate.Passed)
+          report.Validate.checks
+      then Alcotest.failf "%s: a validation check did not pass" name;
+      Alcotest.(check (pair string int))
+        name expect
+        (Validate.render Analysis.render_equiv (verdict, report)))
     equiv_table
 
 let () =

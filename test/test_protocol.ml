@@ -17,7 +17,7 @@ let batch_line name =
         Engine.metered (fun () ->
             Validate.check_data_race ~level ~budget:Engine.unlimited info)
       in
-      Serve.render_race r)
+      Validate.render_task Analysis.render_race r)
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -304,6 +304,41 @@ let test_io_campaign () =
       | Error msg -> Alcotest.fail ("refusal check failed: " ^ msg));
   try Sys.remove snapshot with Sys_error _ -> ()
 
+(* --- a torn exchange recovers by retry ---
+
+   [wire.read] armed per attempt the way [retreet ask --inject] arms it:
+   attempt [a] re-arms with seed [seed + a].  Each attempt hits the site
+   twice, in a fixed order (the server reads the request, then the client
+   reads the reply), so the schedule is deterministic: at period 5, seed
+   28 tears the first reply read and spares both reads of the second
+   attempt, which must bring back the batch bytes. *)
+let test_retry_recovers () =
+  with_server "proto-retry" (fun socket ->
+      let seed = 28 in
+      match
+        Serve_client.request_with_retry
+          ~arm:(fun attempt ->
+            Faults.arm ~period:5 ~site:"wire.read" ~seed:(seed + attempt) ())
+          ~retry:
+            { Serve_client.default_retry with retries = 4; base = 0.01; seed }
+          ~read_timeout:10. ~socket ~wait:5.
+          (Serve_wire.Solve
+             {
+               opts = Serve.options_to_assoc Serve.default_options;
+               source = source "size_counting";
+             })
+      with
+      | Error msg -> Alcotest.fail ("the retry did not recover: " ^ msg)
+      | Ok (reply, stats) ->
+        Alcotest.(check int) "attempts" 2 stats.Serve_client.attempts;
+        Alcotest.(check (triple string string int))
+          "batch bytes after the retry"
+          (let text, code = batch_line "size_counting" in
+           ("REPLY", text, code))
+          ( reply.Serve_client.status,
+            reply.Serve_client.payload,
+            reply.Serve_client.code ))
+
 let () =
   Alcotest.run "protocol"
     [
@@ -320,5 +355,7 @@ let () =
         [
           Alcotest.test_case "5 sites x 3 seeds: masked or caught" `Slow
             test_io_campaign;
+          Alcotest.test_case "a torn reply recovers by retry" `Quick
+            test_retry_recovers;
         ] );
     ]

@@ -19,7 +19,7 @@ let batch_line ?(budget = Engine.unlimited) name =
       let r, _usage =
         Engine.metered (fun () -> Validate.check_data_race ~level ~budget info)
       in
-      Serve.render_race r)
+      Validate.render_task Analysis.render_race r)
 
 let opts ?(client = "test") ?(budget = Engine.unlimited) ?inject () =
   { Serve.client; budget; vlevel = level; inject }

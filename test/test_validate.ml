@@ -115,21 +115,28 @@ let expect_wrong_race_free ~site ~seed =
         Alcotest.failf "%s:%d diverged instead of flipping the verdict" site
           seed)
 
-let caught_at_full check ~site ~seed =
+(* Caught: the wrong verdict's line carries the failed-validation suffix
+   and exit code 4, as every front end prints it. *)
+let caught_at_full check ~site ~seed ~verdict =
   with_fault ~site ~seed (fun () ->
-      let report = check () in
-      if Validate.ok report then
-        Alcotest.failf "%s:%d wrong verdict passed full validation" site seed)
+      Alcotest.(check (pair string int))
+        (Fmt.str "%s:%d caught at full" site seed)
+        (verdict ^ "  [verdict FAILED self-validation]", 4)
+        (check ()))
 
 let test_branch_flip_wrong () =
   expect_wrong_race_free ~site:"bdd.branch_flip" ~seed:1;
-  caught_at_full ~site:"bdd.branch_flip" ~seed:1 (fun () ->
-      snd (race ~level:Validate.Full ~timeout:15. (racy ())))
+  caught_at_full ~site:"bdd.branch_flip" ~seed:1 ~verdict:"data-race-free"
+    (fun () ->
+      Validate.render Analysis.render_race
+        (race ~level:Validate.Full ~timeout:15. (racy ())))
 
 let test_swap_final_wrong () =
   expect_wrong_race_free ~site:"treeauto.swap_final" ~seed:1;
-  caught_at_full ~site:"treeauto.swap_final" ~seed:1 (fun () ->
-      snd (race ~level:Validate.Full ~timeout:15. (racy ())))
+  caught_at_full ~site:"treeauto.swap_final" ~seed:1 ~verdict:"data-race-free"
+    (fun () ->
+      Validate.render Analysis.render_race
+        (race ~level:Validate.Full ~timeout:15. (racy ())))
 
 let test_projection_shift_wrong () =
   with_fault ~site:"mso.projection_shift" ~seed:3 (fun () ->
@@ -142,8 +149,9 @@ let test_projection_shift_wrong () =
       | _ ->
         Alcotest.fail
           "mso.projection_shift:3 no longer flips the fusion verdict");
-  caught_at_full ~site:"mso.projection_shift" ~seed:3 (fun () ->
-      snd
+  caught_at_full ~site:"mso.projection_shift" ~seed:3 ~verdict:"NOT equivalent"
+    (fun () ->
+      Validate.render Analysis.render_equiv
         (equiv ~level:Validate.Full ~timeout:30. (mut_seq ()) (mut_fused ())
            map_mutation))
 
