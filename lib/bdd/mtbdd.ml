@@ -32,12 +32,20 @@ end
 
 module Memo2 = Hashtbl.Make (Pair)
 
+(* Keyed by node id.  Ids are allocated consecutively, so the identity
+   hash spreads them evenly over the buckets. *)
+module IdTbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i
+end)
+
 type st = {
   node_tbl : t NodeTbl.t;
   leaf_tbl : (int, t) Hashtbl.t;
   mutable next_id : int;
   ite_memo : t Memo2.t Memo2.t;
-  op_tables : t Memo2.t Memo2.t;
 }
 
 let slot =
@@ -47,7 +55,6 @@ let slot =
         leaf_tbl = Hashtbl.create 256;
         next_id = 0;
         ite_memo = Memo2.create 64;
-        op_tables = Memo2.create 8;
       })
 
 let st () = Solver_ctx.get_current slot
@@ -121,17 +128,9 @@ let ite g a b =
   in
   go g a b
 
-let op_table st tag =
-  match Memo2.find_opt st.op_tables (tag, tag) with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Memo2.create 4096 in
-    Memo2.add st.op_tables (tag, tag) tbl;
-    tbl
-
-let apply2 ~tag f a b =
+let combiner f =
   let st = st () in
-  let tbl = op_table st tag in
+  let tbl = Memo2.create 4096 in
   let rec go a b =
     match (a, b) with
     | Leaf { value = x; _ }, Leaf { value = y; _ } -> const_in st (f x y)
@@ -146,102 +145,71 @@ let apply2 ~tag f a b =
         Memo2.add tbl key r;
         r)
   in
-  go a b
+  go
 
-let map ~tag f t =
+let mapper f =
   let st = st () in
-  let tbl = op_table st (tag lxor 0x55555555) in
+  let tbl = IdTbl.create 256 in
   let rec go t =
-    match t with
-    | Leaf { value; _ } -> const_in st (f value)
-    | Node { id = i; v; lo; hi } -> (
-      match Memo2.find_opt tbl (i, i) with
-      | Some r -> r
-      | None ->
-        let r = mk st v (go lo) (go hi) in
-        Memo2.add tbl (i, i) r;
-        r)
-  in
-  go t
-
-let apply2_nocache f a b =
-  let st = st () in
-  let tbl = Hashtbl.create 64 in
-  let rec go a b =
-    match (a, b) with
-    | Leaf { value = x; _ }, Leaf { value = y; _ } -> const_in st (f x y)
-    | _ -> (
-      let key = (id a, id b) in
-      match Hashtbl.find_opt tbl key with
-      | Some r -> r
-      | None ->
-        let v = min (level a) (level b) in
-        let a0, a1 = cofactors v a and b0, b1 = cofactors v b in
-        let r = mk st v (go a0 b0) (go a1 b1) in
-        Hashtbl.add tbl key r;
-        r)
-  in
-  go a b
-
-let combiner f =
-  let st = st () in
-  let tbl = Hashtbl.create 4096 in
-  let rec go a b =
-    match (a, b) with
-    | Leaf { value = x; _ }, Leaf { value = y; _ } -> const_in st (f x y)
-    | _ -> (
-      let key = (id a, id b) in
-      match Hashtbl.find_opt tbl key with
-      | Some r -> r
-      | None ->
-        let v = min (level a) (level b) in
-        let a0, a1 = cofactors v a and b0, b1 = cofactors v b in
-        let r = mk st v (go a0 b0) (go a1 b1) in
-        Hashtbl.add tbl key r;
-        r)
+    let i = id t in
+    match IdTbl.find_opt tbl i with
+    | Some r -> r
+    | None ->
+      let r =
+        match t with
+        | Leaf { value; _ } -> const_in st (f value)
+        | Node { v; lo; hi; _ } -> mk st v (go lo) (go hi)
+      in
+      IdTbl.add tbl i r;
+      r
   in
   go
 
-let map_nocache f t =
+let restricter v b =
   let st = st () in
-  let tbl = Hashtbl.create 64 in
+  let tbl = IdTbl.create 64 in
   let rec go t =
     match t with
-    | Leaf { value; _ } -> const_in st (f value)
-    | Node { id = i; v; lo; hi } -> (
-      match Hashtbl.find_opt tbl i with
-      | Some r -> r
-      | None ->
-        let r = mk st v (go lo) (go hi) in
-        Hashtbl.add tbl i r;
-        r)
+    | Leaf _ -> t
+    | Node { id = i; v = v'; lo; hi } ->
+      if v' > v then t
+      else if v' = v then if b then hi else lo
+      else (
+        match IdTbl.find_opt tbl i with
+        | Some r -> r
+        | None ->
+          let r = mk st v' (go lo) (go hi) in
+          IdTbl.add tbl i r;
+          r)
   in
-  go t
+  go
 
 let rec eval rho t =
   match t with
   | Leaf { value; _ } -> value
   | Node { v; lo; hi; _ } -> if rho v then eval rho hi else eval rho lo
 
-let terminals t =
-  let seen = Hashtbl.create 16 in
-  let acc = ref [] in
-  let rec go t =
-    match t with
-    | Leaf { id; value } ->
-      if not (Hashtbl.mem seen id) then begin
-        Hashtbl.add seen id ();
-        acc := value :: !acc
+(* A node already visited lies above terminals already reported, so each
+   scan walks only the part of its diagram that no earlier scan reached. *)
+let terminal_scanner () =
+  let seen = IdTbl.create 64 in
+  fun t ->
+    let acc = ref [] in
+    let rec go t =
+      let i = id t in
+      if not (IdTbl.mem seen i) then begin
+        IdTbl.add seen i ();
+        match t with
+        | Leaf { value; _ } -> acc := value :: !acc
+        | Node { lo; hi; _ } ->
+          go lo;
+          go hi
       end
-    | Node { id; lo; hi; _ } ->
-      if not (Hashtbl.mem seen id) then begin
-        Hashtbl.add seen id ();
-        go lo;
-        go hi
-      end
-  in
-  go t;
-  List.sort_uniq Int.compare !acc
+    in
+    go t;
+    List.sort Int.compare !acc
+
+let terminals t = terminal_scanner () t
 
 let guard_of t k =
   let tbl = Hashtbl.create 64 in
@@ -272,18 +240,6 @@ let find_terminal t k =
       | None -> go ((v, true) :: acc) hi)
   in
   go [] t
-
-let restrict t v b =
-  let st = st () in
-  let rec go t =
-    match t with
-    | Leaf _ -> t
-    | Node { v = v'; lo; hi; _ } ->
-      if v' > v then t
-      else if v' = v then if b then hi else lo
-      else mk st v' (go lo) (go hi)
-  in
-  go t
 
 let support t =
   let seen = Hashtbl.create 16 in
@@ -360,5 +316,4 @@ let check_integrity () =
 let () =
   Faults.on_flush (fun () ->
       let st = st () in
-      Memo2.reset st.ite_memo;
-      Memo2.reset st.op_tables)
+      Memo2.reset st.ite_memo)

@@ -25,26 +25,28 @@ val hash : t -> int
 val eval : (var -> bool) -> t -> int
 (** Value of the function at a valuation. *)
 
-val apply2 : tag:int -> (int -> int -> int) -> t -> t -> t
-(** [apply2 ~tag f a b] combines pointwise with [f].  [tag] identifies the
-    operation for memoization and must be used consistently: two calls with
-    the same [tag] must pass (extensionally) the same [f]. *)
-
-val map : tag:int -> (int -> int) -> t -> t
-(** Pointwise image.  Same [tag] discipline as {!apply2}. *)
-
-val map_nocache : (int -> int) -> t -> t
-(** Pointwise image without cross-call memoization (safe for closures whose
-    behaviour differs between calls). *)
-
-val apply2_nocache : (int -> int -> int) -> t -> t -> t
-(** Pointwise combination without cross-call memoization. *)
-
 val combiner : (int -> int -> int) -> t -> t -> t
 (** [combiner f] returns a combining function backed by a single memo table
     shared across all its invocations.  Use one combiner per logical
     operation (e.g. one automaton product) so repeated diagram pairs are
     combined once. *)
+
+val mapper : (int -> int) -> t -> t
+(** [mapper f] returns the pointwise image under [f], backed by a single
+    memo table (per diagram node) shared across all its invocations: a
+    node reached again, from the same diagram or a later one, is not
+    re-mapped.  [f] must answer the same for the same terminal while the
+    mapper is in use.  Fresh nodes are allocated in the order of first
+    visit, as by an unshared traversal of the same diagrams. *)
+
+val restricter : var -> bool -> t -> t
+(** [restricter v b] returns the cofactor at [v = b], memoized like
+    {!mapper}. *)
+
+val terminal_scanner : unit -> t -> int list
+(** [terminal_scanner ()] returns a scan that gives, for each diagram it
+    is applied to, the terminal values not reported by an earlier call of
+    the same scan, ascending.  It visits each node once over all calls. *)
 
 val terminals : t -> int list
 (** All terminal values occurring in the diagram, ascending, no duplicates. *)
@@ -55,8 +57,6 @@ val guard_of : t -> int -> Bdd.t
 val find_terminal : t -> int -> (var * bool) list option
 (** A partial valuation leading to the given terminal, if it occurs.
     Unlisted variables are don't-care. *)
-
-val restrict : t -> var -> bool -> t
 
 val support : t -> var list
 

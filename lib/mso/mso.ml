@@ -280,17 +280,24 @@ type env = (var * kind) list
    variables, and the next free track.  The cache lives in the current
    solver context: cached automata hold BDDs hash-consed in that context,
    so sharing them across contexts (or domains) would break physical
-   equality. *)
-let cache_slot :
-    (formula * (var * int) list * int, Treeauto.t) Hashtbl.t
-    Solver_ctx.Slot.slot =
-  Solver_ctx.Slot.create (fun () -> Hashtbl.create 4096)
+   equality.  The hash reads deep into the key: the polymorphic one stops
+   after 10 meaningful words, so formulas sharing a long prefix would
+   share a bucket and be told apart by structural comparison. *)
+module Cache = Hashtbl.Make (struct
+  type t = formula * (var * int) list * int
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 256 1024
+end)
+
+let cache_slot : Treeauto.t Cache.t Solver_ctx.Slot.slot =
+  Solver_ctx.Slot.create (fun () -> Cache.create 4096)
 
 let cache () = Solver_ctx.get_current cache_slot
 
 (* Armed fault campaigns poison pure caches, so compiled automata must not
    outlive an arm/disarm transition. *)
-let () = Faults.on_flush (fun () -> Hashtbl.reset (cache ()))
+let () = Faults.on_flush (fun () -> Cache.reset (cache ()))
 
 (* Fault site: quantify the wrong track — a classic off-by-one in the
    de Bruijn-style track allocation.  The shift is downward (an enclosing
@@ -317,12 +324,12 @@ let rec compile_sub tenv next f =
     |> List.sort compare
   in
   let key = (f, key_env, next) in
-  match Hashtbl.find_opt cache key with
+  match Cache.find_opt cache key with
   | Some a -> a
   | None ->
     Engine.tick ();
     let a = comp_raw tenv next f in
-    Hashtbl.add cache key a;
+    Cache.add cache key a;
     a
 
 and comp_raw tenv next f =

@@ -86,53 +86,70 @@ let tree_positions t =
    codes that are bottom-up reachable, and the result is densely
    renumbered.  Every state of the result is realized by some tree. *)
 
-let explore ~(leaf : Mtbdd.t) ~(delta : int -> int -> Mtbdd.t)
-    ~(accept : int -> bool) : t =
-  let code_of = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  let ncodes = ref 0 in
-  let register c =
-    if not (Hashtbl.mem code_of c) then begin
-      Hashtbl.add code_of c !ncodes;
-      incr ncodes;
-      Engine.check_states !ncodes;
-      Queue.add c queue
+module Int_tbl = Hashtbl.Make (Int)
+
+let set_cell rows ~fill i j m =
+  let row = rows.(i) in
+  let row =
+    if j < Array.length row then row
+    else begin
+      let r = Array.make (max 8 (2 * (j + 1))) fill in
+      Array.blit row 0 r 0 (Array.length row);
+      rows.(i) <- r;
+      r
     end
   in
-  List.iter register (Mtbdd.terminals leaf);
-  let pair_tbl : (int * int, Mtbdd.t) Hashtbl.t = Hashtbl.create 256 in
-  (* Closure loop: process codes in discovery order; for each new code,
-     combine with every code seen so far (including itself). *)
-  let processed = ref [] in
-  while not (Queue.is_empty queue) do
+  row.(j) <- m
+
+let explore ~(leaf : Mtbdd.t) ~(delta : int -> int -> Mtbdd.t)
+    ~(accept : int -> bool) : t =
+  (* Dense state k is the k-th code registered and the k-th processed;
+     [rows.(i).(j)] is the transition of the dense pair (i, j). *)
+  let code_of = Int_tbl.create 64 in
+  let codes = ref (Array.make 16 0) and rows = ref (Array.make 16 [||]) in
+  let ncodes = ref 0 in
+  let register c =
+    if not (Int_tbl.mem code_of c) then begin
+      let k = !ncodes in
+      if k = Array.length !codes then begin
+        codes := Array.append !codes (Array.make k 0);
+        rows := Array.append !rows (Array.make k [||])
+      end;
+      !codes.(k) <- c;
+      Int_tbl.add code_of c k;
+      incr ncodes;
+      Engine.check_states !ncodes
+    end
+  in
+  let scan = Mtbdd.terminal_scanner () in
+  List.iter register (scan leaf);
+  let transition i j =
+    let m = delta !codes.(i) !codes.(j) in
+    (* Fault site: forget the operand pair.  The leaf transition is
+       always well-formed here (its terminals were registered first), so
+       the corruption is semantic, not structural. *)
+    let m = if Faults.fire site_drop_transition then leaf else m in
+    set_cell !rows ~fill:leaf i j m;
+    List.iter register (scan m)
+  in
+  (* Closure loop: process codes in discovery order; pair each new code
+     with itself, then with every earlier code, latest first.  The order
+     fixes which code is discovered when, and so the numbering. *)
+  let k = ref 0 in
+  while !k < !ncodes do
     Engine.tick ();
-    let c = Queue.pop queue in
-    let partners = c :: !processed in
-    List.iter
-      (fun d ->
-        List.iter
-          (fun (x, y) ->
-            if not (Hashtbl.mem pair_tbl (x, y)) then begin
-              let m = delta x y in
-              (* Fault site: forget the operand pair.  The leaf transition
-                 is always well-formed here (its terminals were registered
-                 first), so the corruption is semantic, not structural. *)
-              let m = if Faults.fire site_drop_transition then leaf else m in
-              Hashtbl.add pair_tbl (x, y) m;
-              List.iter register (Mtbdd.terminals m)
-            end)
-          [ (c, d); (d, c) ])
-      partners;
-    processed := c :: !processed
+    let c = !k in
+    transition c c;
+    for d = c - 1 downto 0 do
+      transition c d;
+      transition d c
+    done;
+    incr k
   done;
-  let n = !ncodes in
-  let dense = Array.make n 0 in
-  Hashtbl.iter (fun code id -> dense.(id) <- code) code_of;
-  let remap = Mtbdd.map_nocache (fun c -> Hashtbl.find code_of c) in
+  let n = !ncodes and codes = !codes and rows = !rows in
+  let remap = Mtbdd.mapper (fun c -> Int_tbl.find code_of c) in
   let delta_arr =
-    Array.init n (fun i ->
-        Array.init n (fun j ->
-            remap (Hashtbl.find pair_tbl (dense.(i), dense.(j)))))
+    Array.init n (fun i -> Array.init n (fun j -> remap rows.(i).(j)))
   in
   observed "explore"
     {
@@ -141,7 +158,7 @@ let explore ~(leaf : Mtbdd.t) ~(delta : int -> int -> Mtbdd.t)
       delta = delta_arr;
       accept =
         Array.init n (fun i ->
-            let b = accept dense.(i) in
+            let b = accept codes.(i) in
             if Faults.fire site_swap_final then not b else b);
     }
 
@@ -211,7 +228,7 @@ let timed ?detail name f =
 let pp_op_stats ppf () =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) (stats ()) []
   |> List.sort compare
-  |> List.iter (fun (k, (t, n)) -> Fmt.pf ppf "%s: %.2fs over %d calls@." k t n)
+  |> List.iter (fun (k, (t, n)) -> Fmt.pf ppf "%s: %.4fs over %d calls@." k t n)
 
 let reset_op_stats () = Hashtbl.reset (stats ())
 
@@ -237,6 +254,15 @@ let complement a = { a with accept = Array.map not a.accept }
 (* ------------------------------------------------------------------ *)
 (* Minimization (Moore partition refinement)                            *)
 
+(* Signature rows, hashed whole: the polymorphic hash would stop after
+   the first few columns. *)
+module Row_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = ( = )
+  let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 0 a
+end)
+
 let minimize a =
  if a.nstates > 200 then Log.debug (fun m -> m "start minimize: %d states" a.nstates);
  observed "minimize"
@@ -257,33 +283,27 @@ let minimize a =
       Engine.tick ();
       changed := false;
       (* Map every transition MTBDD through the current class assignment,
-         memoized by diagram identity for this iteration. *)
-      let mapped = Hashtbl.create 256 in
-      let map_cls m =
-        match Hashtbl.find_opt mapped (Mtbdd.hash m) with
-        | Some r -> r
-        | None ->
-          let r = Mtbdd.map_nocache (fun q -> cls.(q)) m in
-          Hashtbl.add mapped (Mtbdd.hash m) r;
-          r
-      in
+         memoized by diagram node for this iteration. *)
+      let map_cls = Mtbdd.mapper (fun q -> cls.(q)) in
+      (* Signature of q: its class, then for every q2 the mapped
+         transitions of (q, q2) and (q2, q); the latter is mapped first. *)
       let signature q =
-        let row =
-          List.init n (fun q2 ->
-              ( Mtbdd.hash (map_cls a.delta.(q).(q2)),
-                Mtbdd.hash (map_cls a.delta.(q2).(q)) ))
-        in
-        (cls.(q), row)
+        let row = Array.make ((2 * n) + 1) cls.(q) in
+        for q2 = 0 to n - 1 do
+          row.((2 * q2) + 2) <- Mtbdd.hash (map_cls a.delta.(q2).(q));
+          row.((2 * q2) + 1) <- Mtbdd.hash (map_cls a.delta.(q).(q2))
+        done;
+        row
       in
-      let sig_tbl = Hashtbl.create 64 in
+      let sig_tbl = Row_tbl.create 64 in
       let next = Array.make n 0 in
       let count = ref 0 in
       for q = 0 to n - 1 do
         let s = signature q in
-        match Hashtbl.find_opt sig_tbl s with
+        match Row_tbl.find_opt sig_tbl s with
         | Some c -> next.(q) <- c
         | None ->
-          Hashtbl.add sig_tbl s !count;
+          Row_tbl.add sig_tbl s !count;
           next.(q) <- !count;
           incr count
       done;
@@ -300,7 +320,7 @@ let minimize a =
       for q = n - 1 downto 0 do
         rep.(cls.(q)) <- q
       done;
-      let remap = Mtbdd.map_nocache (fun q -> cls.(q)) in
+      let remap = Mtbdd.mapper (fun q -> cls.(q)) in
       {
         nstates = k;
         leaf = remap a.leaf;
@@ -342,45 +362,81 @@ let union_list autos = balanced union (const false) autos
 (* ------------------------------------------------------------------ *)
 (* Projection (existential quantification of one track)                 *)
 
+(* State sets are sorted lists, hashed whole. *)
+module Set_tbl = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash (l : t) = List.fold_left (fun h x -> (h * 31) + x) 0 l
+end)
+
+module Pair_tbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
+  let hash (a, b) = (a * 0x9e3779b1) lxor b
+end)
+
 let project v a =
  if a.nstates > 60 then Log.debug (fun m -> m "start project: %d states" a.nstates);
  timed "project" @@ fun () ->
-  (* State sets are hash-consed into integer codes. *)
-  let set_ids : (int list, int) Hashtbl.t = Hashtbl.create 64 in
-  let sets : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+  (* State sets are hash-consed into integer codes: [sets.(c)] is the set
+     of code [c]. *)
+  let set_ids = Set_tbl.create 64 in
+  let sets = ref (Array.make 64 []) in
   let nsets = ref 0 in
   let set_code s =
-    match Hashtbl.find_opt set_ids s with
+    match Set_tbl.find_opt set_ids s with
     | Some c -> c
     | None ->
       let c = !nsets in
+      if c = Array.length !sets then
+        sets := Array.append !sets (Array.make c []);
+      !sets.(c) <- s;
       incr nsets;
-      Hashtbl.add set_ids s c;
-      Hashtbl.add sets c s;
+      Set_tbl.add set_ids s c;
       c
   in
-  let set_of c = Hashtbl.find sets c in
+  let set_of c = !sets.(c) in
+  (* Union is commutative, so one entry serves both operand orders. *)
+  let unions = Pair_tbl.create 64 in
   let union_codes c1 c2 =
     if c1 = c2 then c1
-    else
-      set_code
-        (List.sort_uniq Int.compare (List.rev_append (set_of c1) (set_of c2)))
+    else begin
+      let key = (min c1 c2, max c1 c2) in
+      match Pair_tbl.find_opt unions key with
+      | Some c -> c
+      | None ->
+        let c =
+          set_code
+            (List.sort_uniq Int.compare
+               (List.rev_append (set_of c1) (set_of c2)))
+        in
+        Pair_tbl.add unions key c;
+        c
+    end
   in
   let singleton q = set_code [ q ] in
   let union_sets = Mtbdd.combiner union_codes in
-  (* Erase track [v]: the two cofactors become a nondeterministic choice. *)
+  let as_singletons = Mtbdd.mapper singleton in
+  let cofactor_false = Mtbdd.restricter v false
+  and cofactor_true = Mtbdd.restricter v true in
+  (* Erase track [v]: the two cofactors become a nondeterministic choice.
+     The true cofactor is taken first; set codes are numbered in that
+     order. *)
   let erase m =
-    let as_sets b = Mtbdd.map_nocache singleton (Mtbdd.restrict m v b) in
-    union_sets (as_sets false) (as_sets true)
+    let hi = as_singletons (cofactor_true m) in
+    let lo = as_singletons (cofactor_false m) in
+    union_sets lo hi
   in
   let leaf = erase a.leaf in
-  let erased_pairs = Hashtbl.create 256 in
+  let erased_pairs = Array.make_matrix a.nstates a.nstates None in
   let erased q1 q2 =
-    match Hashtbl.find_opt erased_pairs (q1, q2) with
+    match erased_pairs.(q1).(q2) with
     | Some m -> m
     | None ->
       let m = erase a.delta.(q1).(q2) in
-      Hashtbl.add erased_pairs (q1, q2) m;
+      erased_pairs.(q1).(q2) <- Some m;
       m
   in
   let bottom = set_code [] in

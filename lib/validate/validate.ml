@@ -82,25 +82,34 @@ let deep_limit = 96
 (* Two distinct states with the same acceptance and identical hash-consed
    transition rows are equivalent, so a minimal automaton cannot contain
    them.  One Moore-signature round — sound but deliberately not a full
-   re-minimization. *)
+   re-minimization, and deliberately not the minimizer's signature table:
+   a checker sharing that code could not catch a bug in it. *)
+module Rows = Hashtbl.Make (struct
+  type t = int array
+
+  let equal = ( = )
+
+  (* Rows have at most 2 * deep_limit + 1 entries, all of them hashed. *)
+  let hash = Hashtbl.hash_param 256 256
+end)
+
 let check_minimal (a : Treeauto.t) =
   let n = a.Treeauto.nstates in
-  let seen = Hashtbl.create (2 * n) in
+  let seen = Rows.create (2 * n) in
   let bad = ref None in
   for q = 0 to n - 1 do
     if !bad = None then begin
-      let row =
-        List.init n (fun j ->
-            ( Mtbdd.hash a.Treeauto.delta.(q).(j),
-              Mtbdd.hash a.Treeauto.delta.(j).(q) ))
-      in
-      let key = (a.Treeauto.accept.(q), row) in
-      match Hashtbl.find_opt seen key with
+      let key = Array.make ((2 * n) + 1) (Bool.to_int a.Treeauto.accept.(q)) in
+      for j = 0 to n - 1 do
+        key.((2 * j) + 1) <- Mtbdd.hash a.Treeauto.delta.(q).(j);
+        key.((2 * j) + 2) <- Mtbdd.hash a.Treeauto.delta.(j).(q)
+      done;
+      match Rows.find_opt seen key with
       | Some q' ->
         bad :=
           Some
             (Printf.sprintf "states %d and %d are trivially mergeable" q' q)
-      | None -> Hashtbl.add seen key q
+      | None -> Rows.add seen key q
     end
   done;
   match !bad with None -> Ok () | Some msg -> Error msg
@@ -116,9 +125,11 @@ let check_automaton stage (a : Treeauto.t) =
   then Error "transition table is not square"
   else if n > deep_limit then Ok ()
   else begin
-    let in_range m =
-      List.for_all (fun q -> q >= 0 && q < n) (Mtbdd.terminals m)
-    in
+    (* One scan over the whole automaton: a cell's terminals already seen
+       in an earlier cell were in range there, so the first failing cell
+       is the same as with a full scan per cell. *)
+    let scan = Mtbdd.terminal_scanner () in
+    let in_range m = List.for_all (fun q -> q >= 0 && q < n) (scan m) in
     if not (in_range a.Treeauto.leaf) then
       Error "leaf transition targets an out-of-range state"
     else begin

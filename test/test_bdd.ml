@@ -131,8 +131,8 @@ let test_mtbdd_units () =
   Alcotest.(check (list int)) "terminals" [ 1; 2 ] (Mtbdd.terminals m);
   let g = Mtbdd.guard_of m 1 in
   Alcotest.(check bool) "guard_of" true (Bdd.equal g (Bdd.var 0));
-  let sum = Mtbdd.apply2 ~tag:100 ( + ) m m in
-  Alcotest.(check (list int)) "apply2" [ 2; 4 ] (Mtbdd.terminals sum);
+  let sum = Mtbdd.combiner ( + ) m m in
+  Alcotest.(check (list int)) "combiner" [ 2; 4 ] (Mtbdd.terminals sum);
   match Mtbdd.find_terminal m 2 with
   | Some [ (0, false) ] -> ()
   | _ -> Alcotest.fail "find_terminal"
@@ -147,6 +147,61 @@ let prop_mtbdd_ite =
         (fun rho ->
           Mtbdd.eval rho m = if Bdd.eval rho g then x else y)
         valuations)
+
+(* A multi-terminal diagram: guarded cases, first match wins. *)
+let mtbdd_gen =
+  QCheck2.Gen.(
+    map2
+      (fun cases default ->
+        List.fold_right
+          (fun (f, x) acc -> Mtbdd.ite (to_bdd f) (Mtbdd.const x) acc)
+          cases (Mtbdd.const default))
+      (list_size (int_range 1 4) (pair form_gen (int_bound 9)))
+      (int_bound 9))
+
+let prop_mapper =
+  QCheck2.Test.make ~name:"mapper agrees with f after eval" ~count:200
+    QCheck2.Gen.(pair mtbdd_gen mtbdd_gen)
+    (fun (m1, m2) ->
+      let f x = (x * 7) mod 4 in
+      let map = Mtbdd.mapper f in
+      (* m1 mapped before and after m2, so the memo is shared across
+         diagrams *)
+      let r1 = map m1 in
+      let r2 = map m2 in
+      map m1 == r1
+      && List.for_all
+           (fun rho ->
+             Mtbdd.eval rho r1 = f (Mtbdd.eval rho m1)
+             && Mtbdd.eval rho r2 = f (Mtbdd.eval rho m2))
+           valuations)
+
+let prop_terminal_scanner =
+  QCheck2.Test.make ~name:"terminal_scanner reports each terminal once"
+    ~count:200
+    QCheck2.Gen.(list_size (int_range 1 5) mtbdd_gen)
+    (fun ms ->
+      let scan = Mtbdd.terminal_scanner () in
+      let reports = List.map scan ms in
+      let reported = List.concat reports in
+      List.for_all (fun r -> List.sort Int.compare r = r) reports
+      && List.length (List.sort_uniq Int.compare reported)
+         = List.length reported
+      && List.sort Int.compare reported
+         = List.sort_uniq Int.compare (List.concat_map Mtbdd.terminals ms))
+
+let prop_restricter =
+  QCheck2.Test.make ~name:"restricter agrees with eval at the cofactor"
+    ~count:200
+    QCheck2.Gen.(triple mtbdd_gen (int_bound (nvars - 1)) bool)
+    (fun (m, v, b) ->
+      let r = Mtbdd.restricter v b m in
+      Mtbdd.restricter v b m == r
+      && List.for_all
+           (fun rho ->
+             Mtbdd.eval rho r
+             = Mtbdd.eval (fun x -> if x = v then b else rho x) m)
+           valuations)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -163,6 +218,11 @@ let () =
           qt prop_sat_count;
         ] );
       ( "mtbdd",
-        [ Alcotest.test_case "units" `Quick test_mtbdd_units; qt prop_mtbdd_ite ]
-      );
+        [
+          Alcotest.test_case "units" `Quick test_mtbdd_units;
+          qt prop_mtbdd_ite;
+          qt prop_mapper;
+          qt prop_terminal_scanner;
+          qt prop_restricter;
+        ] );
     ]

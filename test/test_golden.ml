@@ -86,6 +86,30 @@ let test_equiv_goldens () =
         (Validate.render Analysis.render_equiv (verdict, report)))
     equiv_table
 
+(* Deterministic meters of two race queries on cold solver state: the
+   fresh hash-consed nodes and solver steps the benchmark's [meters] line
+   reports for E3 and E7.  They move when the order in which automaton
+   states are discovered and numbered changes (another numbering builds
+   other diagrams), even if every verdict stays the same. *)
+let meters_table =
+  [
+    ("E3 size_counting", Programs.size_counting, (52_307, 13_815));
+    ("E7 cycletree_par", Programs.cycletree_par, (11_972, 3_629));
+  ]
+
+let test_meters () =
+  List.iter
+    (fun (name, src, expect) ->
+      let info = Programs.load src in
+      let _, usage =
+        Solver_ctx.with_fresh (fun () ->
+            Engine.metered (fun () -> Analysis.check_data_race info))
+      in
+      Alcotest.(check (pair int int))
+        name expect
+        (usage.Engine.nodes, usage.Engine.steps))
+    meters_table
+
 let () =
   Alcotest.run "golden"
     [
@@ -95,5 +119,7 @@ let () =
             test_race_goldens;
           Alcotest.test_case "equivalence (E1/E2/E4)" `Quick
             test_equiv_goldens;
+          Alcotest.test_case "meters of E3 and E7 (nodes, steps)" `Quick
+            test_meters;
         ] );
     ]

@@ -180,6 +180,59 @@ let prop_project =
         accepts (project 1 a) t = accepts a t);
   ]
 
+(* Automaton: the number of positions with track [v] is [r] mod 5. *)
+let count_mod5 v r =
+  make ~nstates:5
+    ~leaf:[ (Bdd.var v, 1); (Bdd.top, 0) ]
+    ~delta:(fun q1 q2 ->
+      let n = (q1 + q2) mod 5 in
+      [ (Bdd.var v, (n + 1) mod 5); (Bdd.top, n) ])
+    ~accept:(fun q -> q = r)
+
+let count v t = List.length (List.filter (label_mem v) (positions t))
+let sem_mod5 v r t = count v t mod 5 = r
+
+(* Three independent counters: 125 reachable, pairwise distinguishable
+   states, enough to grow the construction's tables well past their
+   initial capacity. *)
+let counters op = op (op (count_mod5 0 0) (count_mod5 1 1)) (count_mod5 2 2)
+let counters_inter = counters inter
+let counters_union = counters union
+
+let minimized_union = lazy (minimize counters_union)
+let projected_inter = lazy (project 2 counters_inter)
+
+let sem_counters t = (sem_mod5 0 0 t, sem_mod5 1 1 t, sem_mod5 2 2 t)
+
+let prop_large =
+  [
+    QCheck2.Test.make ~name:"three mod-5 counters have 125 states" ~count:1
+      (QCheck2.Gen.return ()) (fun () ->
+        size counters_inter = 125 && size counters_union = 125);
+    prop "inter of counters" 300 (fun t ->
+        let a, b, c = sem_counters t in
+        accepts counters_inter t = (a && b && c));
+    prop "union of counters" 300 (fun t ->
+        let a, b, c = sem_counters t in
+        accepts counters_union t = (a || b || c));
+    QCheck2.Test.make ~name:"minimize is idempotent on counters" ~count:1
+      (QCheck2.Gen.return ()) (fun () ->
+        List.for_all
+          (fun a ->
+            let m = minimize a in
+            size m = 125 && minimize m == m)
+          [ counters_inter; counters_union ]);
+    prop "minimized counters keep the language" 300 (fun t ->
+        accepts (Lazy.force minimized_union) t = accepts counters_union t);
+    prop "project a counter" 300 (fun t ->
+        (* any count of track-2 positions up to the tree size is possible,
+           so some enrichment has two of them iff the tree has >= 2
+           positions *)
+        let a, b, _ = sem_counters t in
+        accepts (Lazy.force projected_inter) t
+        = (a && b && List.length (positions t) >= 2));
+  ]
+
 let test_empty_witness () =
   Alcotest.(check bool) "const false empty" true (is_empty (const false));
   Alcotest.(check bool) "const true nonempty" false (is_empty (const true));
@@ -232,6 +285,7 @@ let () =
       ("minimize", List.map qt prop_minimize);
       ("asymmetric", List.map qt prop_asymmetric);
       ("project", List.map qt prop_project);
+      ("large", List.map qt prop_large);
       ( "decision",
         [
           Alcotest.test_case "empty and witness" `Quick test_empty_witness;
