@@ -23,17 +23,13 @@ end
 
 module NodeTbl = Hashtbl.Make (NodeKey)
 
-module Pair = struct
+module Memo2 = Hashtbl.Make (struct
   type t = int * int
 
   let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
   let hash (a, b) = (a * 0x9e3779b1) lxor b
-end
+end)
 
-module Memo2 = Hashtbl.Make (Pair)
-
-(* Keyed by node id.  Ids are allocated consecutively, so the identity
-   hash spreads them evenly over the buckets. *)
 module IdTbl = Hashtbl.Make (struct
   type t = int
 
@@ -130,7 +126,7 @@ let ite g a b =
 
 let combiner f =
   let st = st () in
-  let tbl = Memo2.create 4096 in
+  let tbl = Memo2.create 64 in
   let rec go a b =
     match (a, b) with
     | Leaf { value = x; _ }, Leaf { value = y; _ } -> const_in st (f x y)
@@ -190,24 +186,21 @@ let rec eval rho t =
   | Node { v; lo; hi; _ } -> if rho v then eval rho hi else eval rho lo
 
 (* A node already visited lies above terminals already reported, so each
-   scan walks only the part of its diagram that no earlier scan reached. *)
+   scan walks only the part of its diagram that no earlier scan reached;
+   a diagram whose root was seen costs one lookup and allocates nothing. *)
 let terminal_scanner () =
   let seen = IdTbl.create 64 in
-  fun t ->
-    let acc = ref [] in
-    let rec go t =
-      let i = id t in
-      if not (IdTbl.mem seen i) then begin
-        IdTbl.add seen i ();
-        match t with
-        | Leaf { value; _ } -> acc := value :: !acc
-        | Node { lo; hi; _ } ->
-          go lo;
-          go hi
-      end
-    in
-    go t;
-    List.sort Int.compare !acc
+  let rec go acc t =
+    let i = id t in
+    if IdTbl.mem seen i then acc
+    else begin
+      IdTbl.add seen i ();
+      match t with
+      | Leaf { value; _ } -> value :: acc
+      | Node { lo; hi; _ } -> go (go acc lo) hi
+    end
+  in
+  fun t -> match go [] t with [] -> [] | acc -> List.sort Int.compare acc
 
 let terminals t = terminal_scanner () t
 

@@ -10,6 +10,14 @@ type t
 
 type var = int
 
+module IdTbl : Hashtbl.S with type key = int
+(** Int keys under the identity hash, which spreads keys allocated
+    consecutively (node ids, automaton state codes) evenly over the
+    buckets; keys that are already hashes need no further mixing. *)
+
+module Memo2 : Hashtbl.S with type key = int * int
+(** Int-pair keys, e.g. the node ids of a binary operation's operands. *)
+
 val const : int -> t
 (** The constant function. *)
 

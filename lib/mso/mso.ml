@@ -287,7 +287,7 @@ module Cache = Hashtbl.Make (struct
   type t = formula * (var * int) list * int
 
   let equal = ( = )
-  let hash = Hashtbl.hash_param 256 1024
+  let hash = Hashtbl.hash_param 256 256
 end)
 
 let cache_slot : Treeauto.t Cache.t Solver_ctx.Slot.slot =

@@ -86,8 +86,6 @@ let tree_positions t =
    codes that are bottom-up reachable, and the result is densely
    renumbered.  Every state of the result is realized by some tree. *)
 
-module Int_tbl = Hashtbl.Make (Int)
-
 let set_cell rows ~fill i j m =
   let row = rows.(i) in
   let row =
@@ -105,18 +103,18 @@ let explore ~(leaf : Mtbdd.t) ~(delta : int -> int -> Mtbdd.t)
     ~(accept : int -> bool) : t =
   (* Dense state k is the k-th code registered and the k-th processed;
      [rows.(i).(j)] is the transition of the dense pair (i, j). *)
-  let code_of = Int_tbl.create 64 in
+  let code_of = Mtbdd.IdTbl.create 64 in
   let codes = ref (Array.make 16 0) and rows = ref (Array.make 16 [||]) in
   let ncodes = ref 0 in
   let register c =
-    if not (Int_tbl.mem code_of c) then begin
+    if not (Mtbdd.IdTbl.mem code_of c) then begin
       let k = !ncodes in
       if k = Array.length !codes then begin
         codes := Array.append !codes (Array.make k 0);
         rows := Array.append !rows (Array.make k [||])
       end;
       !codes.(k) <- c;
-      Int_tbl.add code_of c k;
+      Mtbdd.IdTbl.add code_of c k;
       incr ncodes;
       Engine.check_states !ncodes
     end
@@ -147,7 +145,7 @@ let explore ~(leaf : Mtbdd.t) ~(delta : int -> int -> Mtbdd.t)
     incr k
   done;
   let n = !ncodes and codes = !codes and rows = !rows in
-  let remap = Mtbdd.mapper (fun c -> Int_tbl.find code_of c) in
+  let remap = Mtbdd.mapper (fun c -> Mtbdd.IdTbl.find code_of c) in
   let delta_arr =
     Array.init n (fun i -> Array.init n (fun j -> remap rows.(i).(j)))
   in
@@ -254,15 +252,6 @@ let complement a = { a with accept = Array.map not a.accept }
 (* ------------------------------------------------------------------ *)
 (* Minimization (Moore partition refinement)                            *)
 
-(* Signature rows, hashed whole: the polymorphic hash would stop after
-   the first few columns. *)
-module Row_tbl = Hashtbl.Make (struct
-  type t = int array
-
-  let equal = ( = )
-  let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 0 a
-end)
-
 let minimize a =
  if a.nstates > 200 then Log.debug (fun m -> m "start minimize: %d states" a.nstates);
  observed "minimize"
@@ -278,32 +267,76 @@ let minimize a =
       Array.fill cls 0 n 0;
       nclasses := 1
     end;
+    (* Number the distinct transition diagrams by first occurrence in
+       the order q = 0..n-1, q2 = 0..n-1, delta(q2,q) before delta(q,q2)
+       (cells with q2 < q occurred in an earlier row).  Each round maps
+       the distinct diagrams in that order, which builds the same nodes
+       in the same order as mapping every cell in it.  [out.(q).(q2)]
+       numbers delta(q,q2) and [into.(q).(q2)] delta(q2,q). *)
+    let number = Mtbdd.IdTbl.create 256 in
+    let diagrams = ref [] and ndiagrams = ref 0 in
+    let index m =
+      let i = Mtbdd.hash m in
+      match Mtbdd.IdTbl.find_opt number i with
+      | Some u -> u
+      | None ->
+        let u = !ndiagrams in
+        Mtbdd.IdTbl.add number i u;
+        diagrams := m :: !diagrams;
+        incr ndiagrams;
+        u
+    in
+    let out = Array.make_matrix n n 0 and into = Array.make_matrix n n 0 in
+    for q = 0 to n - 1 do
+      for q2 = q to n - 1 do
+        let u = index a.delta.(q2).(q) in
+        into.(q).(q2) <- u;
+        out.(q2).(q) <- u;
+        let u = index a.delta.(q).(q2) in
+        out.(q).(q2) <- u;
+        into.(q2).(q) <- u
+      done
+    done;
+    let diagrams = Array.of_list (List.rev !diagrams) in
     let changed = ref true in
     while !changed do
       Engine.tick ();
       changed := false;
-      (* Map every transition MTBDD through the current class assignment,
+      (* Map the transitions through the current class assignment,
          memoized by diagram node for this iteration. *)
       let map_cls = Mtbdd.mapper (fun q -> cls.(q)) in
+      let mapped = Array.map (fun m -> Mtbdd.hash (map_cls m)) diagrams in
       (* Signature of q: its class, then for every q2 the mapped
-         transitions of (q, q2) and (q2, q); the latter is mapped first. *)
-      let signature q =
-        let row = Array.make ((2 * n) + 1) cls.(q) in
+         transitions of (q, q2) and (q2, q).  States are grouped by a hash
+         of the whole signature and compared entry by entry; a state
+         joins the class of the first equal one, else opens the next. *)
+      let hash q =
+        let out = out.(q) and into = into.(q) in
+        let h = ref cls.(q) in
         for q2 = 0 to n - 1 do
-          row.((2 * q2) + 2) <- Mtbdd.hash (map_cls a.delta.(q2).(q));
-          row.((2 * q2) + 1) <- Mtbdd.hash (map_cls a.delta.(q).(q2))
+          h := (((!h * 31) + mapped.(out.(q2))) * 31) + mapped.(into.(q2))
         done;
-        row
+        !h
       in
-      let sig_tbl = Row_tbl.create 64 in
+      let same q r =
+        let rec go q2 =
+          q2 = n
+          || mapped.(out.(q).(q2)) = mapped.(out.(r).(q2))
+             && mapped.(into.(q).(q2)) = mapped.(into.(r).(q2))
+             && go (q2 + 1)
+        in
+        cls.(q) = cls.(r) && go 0
+      in
+      let groups = Mtbdd.IdTbl.create 64 in
       let next = Array.make n 0 in
       let count = ref 0 in
       for q = 0 to n - 1 do
-        let s = signature q in
-        match Row_tbl.find_opt sig_tbl s with
-        | Some c -> next.(q) <- c
+        let h = hash q in
+        let group = Option.value (Mtbdd.IdTbl.find_opt groups h) ~default:[] in
+        match List.find_opt (same q) group with
+        | Some r -> next.(q) <- next.(r)
         | None ->
-          Row_tbl.add sig_tbl s !count;
+          Mtbdd.IdTbl.replace groups h (q :: group);
           next.(q) <- !count;
           incr count
       done;
@@ -370,13 +403,6 @@ module Set_tbl = Hashtbl.Make (struct
   let hash (l : t) = List.fold_left (fun h x -> (h * 31) + x) 0 l
 end)
 
-module Pair_tbl = Hashtbl.Make (struct
-  type t = int * int
-
-  let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
-  let hash (a, b) = (a * 0x9e3779b1) lxor b
-end)
-
 let project v a =
  if a.nstates > 60 then Log.debug (fun m -> m "start project: %d states" a.nstates);
  timed "project" @@ fun () ->
@@ -399,12 +425,12 @@ let project v a =
   in
   let set_of c = !sets.(c) in
   (* Union is commutative, so one entry serves both operand orders. *)
-  let unions = Pair_tbl.create 64 in
+  let unions = Mtbdd.Memo2.create 64 in
   let union_codes c1 c2 =
     if c1 = c2 then c1
     else begin
       let key = (min c1 c2, max c1 c2) in
-      match Pair_tbl.find_opt unions key with
+      match Mtbdd.Memo2.find_opt unions key with
       | Some c -> c
       | None ->
         let c =
@@ -412,7 +438,7 @@ let project v a =
             (List.sort_uniq Int.compare
                (List.rev_append (set_of c1) (set_of c2)))
         in
-        Pair_tbl.add unions key c;
+        Mtbdd.Memo2.add unions key c;
         c
     end
   in

@@ -233,6 +233,134 @@ let prop_large =
         = (a && b && List.length (positions t) >= 2));
   ]
 
+(* An automaton as node ids: its states, acceptance, and the ids of its
+   leaf and transition diagrams. *)
+let ids_of ~nstates ~accept ~leaf ~delta =
+  ( nstates,
+    Array.to_list accept,
+    Mtbdd.hash leaf,
+    Array.to_list (Array.map (fun r -> Array.to_list (Array.map Mtbdd.hash r)) delta) )
+
+let ids a = ids_of ~nstates:a.nstates ~accept:a.accept ~leaf:a.leaf ~delta:a.delta
+
+(* Moore refinement that maps every cell through one mapper per round,
+   returning the ids of the result.  [minimize] maps only the distinct
+   diagrams, in the order this loop first meets them, so it must build
+   the same nodes in the same order: the transition matrix, then the
+   leaf. *)
+let reference_minimize a =
+  let n = a.nstates in
+  if n <= 1 then ids a
+  else begin
+    let cls = Array.init n (fun q -> if a.accept.(q) then 1 else 0) in
+    let nclasses = ref 2 in
+    if Array.for_all (fun c -> c = cls.(0)) cls then begin
+      Array.fill cls 0 n 0;
+      nclasses := 1
+    end;
+    let changed = ref true in
+    while !changed do
+      let map_cls = Mtbdd.mapper (fun q -> cls.(q)) in
+      let signature q =
+        let row = Array.make ((2 * n) + 1) cls.(q) in
+        for q2 = 0 to n - 1 do
+          row.((2 * q2) + 2) <- Mtbdd.hash (map_cls a.delta.(q2).(q));
+          row.((2 * q2) + 1) <- Mtbdd.hash (map_cls a.delta.(q).(q2))
+        done;
+        row
+      in
+      let classes = Hashtbl.create 64 in
+      let next =
+        Array.init n (fun q ->
+            let s = signature q in
+            match Hashtbl.find_opt classes s with
+            | Some c -> c
+            | None ->
+              let c = Hashtbl.length classes in
+              Hashtbl.add classes s c;
+              c)
+      in
+      changed := Hashtbl.length classes <> !nclasses;
+      nclasses := Hashtbl.length classes;
+      Array.blit next 0 cls 0 n
+    done;
+    let k = !nclasses in
+    if k = n then ids a
+    else begin
+      let rep = Array.make k (-1) in
+      for q = n - 1 downto 0 do
+        rep.(cls.(q)) <- q
+      done;
+      let remap = Mtbdd.mapper (fun q -> cls.(q)) in
+      let delta =
+        Array.init k (fun c1 ->
+            Array.init k (fun c2 -> remap a.delta.(rep.(c1)).(rep.(c2))))
+      in
+      let leaf = remap a.leaf in
+      ids_of ~nstates:k ~leaf ~delta
+        ~accept:(Array.init k (fun c -> a.accept.(rep.(c))))
+    end
+  end
+
+(* A pseudo-random automaton over tracks 0-3 with states in pairs q and
+   q + n that accept alike and move alike up to the pair, so minimizing
+   merges them.  Each transition picks a state for each of three cases
+   of two random tracks. *)
+let paired_automaton seed n =
+  let rs = Random.State.make [| seed |] in
+  let cases () =
+    let v1 = Random.State.int rs 4 and v2 = Random.State.int rs 4 in
+    let q1 = Random.State.int rs n in
+    let q2 = Random.State.int rs n in
+    let q3 = Random.State.int rs n in
+    [ (Bdd.conj (Bdd.var v1) (Bdd.var v2), q1); (Bdd.var v2, q2); (Bdd.top, q3) ]
+  in
+  let copy = List.map (fun (g, q) -> (g, if Random.State.bool rs then q + n else q)) in
+  let leaf = copy (cases ()) in
+  let table = Array.init n (fun _ -> Array.init n (fun _ -> cases ())) in
+  let delta =
+    Array.init (2 * n) (fun q1 ->
+        Array.init (2 * n) (fun q2 -> copy table.(q1 mod n).(q2 mod n)))
+  in
+  make ~nstates:(2 * n) ~leaf
+    ~delta:(fun q1 q2 -> delta.(q1).(q2))
+    ~accept:(fun q -> q mod n mod 3 = 0)
+
+(* Node ids are allocated consecutively per solver context, so equal ids
+   and equal node counts from two fresh contexts mean the same nodes were
+   built in the same order. *)
+let test_minimize_reference () =
+  let inputs =
+    [
+      (fun () -> union (some_track 0) (one_track 0));
+      (fun () -> inter (one_track 1) (all_track 0));
+      (fun () -> union (count_mod5 0 0) (complement (count_mod5 0 0)));
+      (fun () -> union (count_mod5 0 0) (count_mod5 1 0));
+      (fun () -> union (inter (one_track 0) (some_track 1)) (all_track 2));
+      (fun () -> counters inter);
+      (fun () -> paired_automaton 1 6);
+      (fun () -> union (paired_automaton 2 4) (paired_automaton 3 3));
+      (fun () -> inter (paired_automaton 4 5) (complement (paired_automaton 5 4)));
+    ]
+  in
+  let run minimize build =
+    Solver_ctx.with_fresh (fun () ->
+        match Engine.metered (fun () -> minimize (build ())) with
+        | Ok r, usage -> (r, usage.Engine.nodes)
+        | Error _, _ -> Alcotest.fail "unexpected budget exhaustion")
+  in
+  List.iteri
+    (fun i build ->
+      let (n, acc, leaf, delta), nodes = run (fun a -> ids (minimize a)) build in
+      let (n', acc', leaf', delta'), nodes' = run reference_minimize build in
+      let name what = Printf.sprintf "input %d: %s" i what in
+      Alcotest.(check int) (name "states") n' n;
+      Alcotest.(check (list bool)) (name "acceptance") acc' acc;
+      Alcotest.(check int) (name "leaf node") leaf' leaf;
+      Alcotest.(check (list (list int))) (name "transition nodes") delta' delta;
+      Alcotest.(check int) (name "fresh nodes") nodes' nodes)
+    inputs
+
 let test_empty_witness () =
   Alcotest.(check bool) "const false empty" true (is_empty (const false));
   Alcotest.(check bool) "const true nonempty" false (is_empty (const true));
@@ -282,7 +410,12 @@ let () =
     [
       ("atoms", List.map qt prop_atoms);
       ("boolean", List.map qt prop_boolean);
-      ("minimize", List.map qt prop_minimize);
+      ( "minimize",
+        List.map qt prop_minimize
+        @ [
+            Alcotest.test_case "same nodes as a cell-by-cell reference" `Quick
+              test_minimize_reference;
+          ] );
       ("asymmetric", List.map qt prop_asymmetric);
       ("project", List.map qt prop_project);
       ("large", List.map qt prop_large);
