@@ -39,30 +39,6 @@ let time f =
 (* ------------------------------------------------------------------ *)
 (* Table 1: the seven verification queries                              *)
 
-let map_fused =
-  [ ("s0", "fnil"); ("s4", "fnil"); ("s3", "fret"); ("s7", "fret");
-    ("s10", "s10") ]
-
-let map_mutation =
-  [ ("wnil", "wnil"); ("inil", "wnil"); ("wset", "wset");
-    ("ileaf", "ileaf"); ("istep", "istep"); ("mret", "mret") ]
-
-let map_css =
-  [ ("cvnil", "cvnil"); ("mfnil", "cvnil"); ("rinil", "cvnil");
-    ("cvset", "cvset"); ("cvskip", "cvskip"); ("mfset", "mfset");
-    ("mfskip", "mfskip"); ("riset", "riset"); ("riskip", "riskip");
-    ("mret", "mret") ]
-
-let map_cycle =
-  [ ("rmnil", "rmnil"); ("pmnil", "pmnil"); ("imnil", "imnil");
-    ("tmnil", "tmnil"); ("rmset", "rmset"); ("pmset", "pmset");
-    ("imset", "imset"); ("tmset", "tmset"); ("rtnil", "rtnil");
-    ("crnil", "rmnil"); ("crnil", "pmnil"); ("crnil", "imnil");
-    ("crnil", "tmnil"); ("crlz", "crlz"); ("crl", "crl"); ("crrz", "crrz");
-    ("crr", "crr"); ("cmx1", "cmx1"); ("cmx2", "cmx2"); ("cmx3", "cmx3");
-    ("cmx4", "cmx4"); ("cmn1", "cmn1"); ("cmn2", "cmn2"); ("cmn3", "cmn3");
-    ("cmn4", "cmn4"); ("rtret", "rtret"); ("mret", "mret") ]
-
 type query =
   | Race of string  (** program source *)
   | Equiv of string * string * Analysis.block_map
@@ -90,11 +66,13 @@ let table1_rows =
   [
     { id = "E1"; study = "size-counting"; query = "fuse Odd;Even (Fig. 6a)";
       paper_result = "valid"; paper_time = "0.14s";
-      check = Equiv (size_counting_seq, size_counting_fused, map_fused);
+      check = Equiv (size_counting_seq, size_counting_fused, size_counting_map);
       expect = 0; cost = Fast };
     { id = "E2"; study = "size-counting"; query = "invalid fusion (Fig. 6b)";
       paper_result = "counterexample"; paper_time = "0.14s";
-      check = Equiv (size_counting_seq, size_counting_fused_invalid, map_fused);
+      check =
+        Equiv
+          (size_counting_seq, size_counting_fused_invalid, size_counting_map);
       expect = 1; cost = Fast };
     { id = "E3"; study = "size-counting"; query = "Odd(n) || Even(n) races?";
       paper_result = "race-free"; paper_time = "0.02s";
@@ -102,15 +80,18 @@ let table1_rows =
     { id = "E4"; study = "tree-mutation";
       query = "fuse Swap;IncrmLeft (Fig. 7)";
       paper_result = "valid"; paper_time = "0.12s";
-      check = Equiv (tree_mutation_seq, tree_mutation_fused, map_mutation);
+      check =
+        Equiv (tree_mutation_seq, tree_mutation_fused, tree_mutation_map);
       expect = 0; cost = Fast };
     { id = "E5"; study = "css-minification"; query = "fuse 3 passes (Fig. 8)";
       paper_result = "valid"; paper_time = "6.88s";
-      check = Equiv (css_minification_seq, css_minification_fused, map_css);
+      check =
+        Equiv
+          (css_minification_seq, css_minification_fused, css_minification_map);
       expect = 0; cost = Heavy };
     { id = "E6"; study = "cycletree"; query = "fuse numbering;routing (Fig. 9)";
       paper_result = "valid"; paper_time = "490.55s";
-      check = Equiv (cycletree_seq, cycletree_fused, map_cycle);
+      check = Equiv (cycletree_seq, cycletree_fused, cycletree_map);
       expect = 0; cost = Outlier };
     { id = "E7"; study = "cycletree"; query = "numbering || routing races?";
       paper_result = "counterexample"; paper_time = "0.95s";
@@ -344,13 +325,13 @@ let figure_c () =
   race "  without pruning" sc ~field_sensitive:true ~prune:false;
   let css = Programs.load Programs.css_minification_seq in
   let cssf = Programs.load Programs.css_minification_fused in
+  let map = Programs.css_minification_map in
   Fmt.pr " E5 (fusion), reachability pruning:@.";
-  equivalence "  with pruning" css cssf map_css ~field_sensitive:true
-    ~prune:true;
-  equivalence "  without pruning" css cssf map_css ~field_sensitive:true
+  equivalence "  with pruning" css cssf map ~field_sensitive:true ~prune:true;
+  equivalence "  without pruning" css cssf map ~field_sensitive:true
     ~prune:false;
   Fmt.pr " E5, dependence granularity:@.";
-  equivalence "  node-granularity" css cssf map_css ~field_sensitive:false
+  equivalence "  node-granularity" css cssf map ~field_sensitive:false
     ~prune:true
 
 (* ------------------------------------------------------------------ *)

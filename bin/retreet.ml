@@ -615,13 +615,28 @@ let int_args =
     & info [ "args" ] ~doc:"Int arguments for Main.")
 
 let build_tree spec =
-  match String.split_on_char ':' spec with
-  | [ "complete"; h ] ->
-    Heap.complete_tree ~height:(int_of_string h) ~init:(fun _ -> [])
-  | "random" :: size :: rest ->
-    let seed = match rest with [ s ] -> int_of_string s | _ -> 42 in
-    Heap.random ~size:(int_of_string size) (Random.State.make [| seed |])
-  | _ ->
+  let nat s =
+    match int_of_string_opt s with Some n when n >= 0 -> Some n | _ -> None
+  in
+  let random size seed =
+    Option.map
+      (fun size -> Heap.random ~size (Random.State.make [| seed |]))
+      (nat size)
+  in
+  let tree =
+    match String.split_on_char ':' spec with
+    | [ "complete"; h ] ->
+      Option.map
+        (fun height -> Heap.complete_tree ~height ~init:(fun _ -> []))
+        (nat h)
+    | [ "random"; size ] -> random size 42
+    | [ "random"; size; seed ] ->
+      Option.bind (int_of_string_opt seed) (random size)
+    | _ -> None
+  in
+  match tree with
+  | Some t -> t
+  | None ->
     Fmt.epr "bad tree spec %S@." spec;
     exit 2
 

@@ -65,14 +65,7 @@ let () =
     (Heap.equal t1 t2);
 
   (* 4. verify the fusion of the traversal skeletons *)
-  let map =
-    [
-      ("cvnil", "cvnil"); ("mfnil", "cvnil"); ("rinil", "cvnil");
-      ("cvset", "cvset"); ("cvskip", "cvskip"); ("mfset", "mfset");
-      ("mfskip", "mfskip"); ("riset", "riset"); ("riskip", "riskip");
-      ("mret", "mret");
-    ]
-  in
+  let map = Programs.css_minification_map in
   (match Analysis.check_equivalence seq_prog fused_prog ~map with
   | Analysis.Equivalent _ ->
     Fmt.pr "verified: the three minification traversals can be fused@."

@@ -56,11 +56,9 @@ let () =
   (* 4. fusing the two traversals into one is a valid transformation *)
   let seq = Programs.load Programs.size_counting_seq in
   let fused = Programs.load Programs.size_counting_fused in
-  let map =
-    [ ("s0", "fnil"); ("s4", "fnil"); ("s3", "fret"); ("s7", "fret");
-      ("s10", "s10") ]
-  in
-  (match Analysis.check_equivalence seq fused ~map with
+  (match
+     Analysis.check_equivalence seq fused ~map:Programs.size_counting_map
+   with
   | Analysis.Equivalent { relation } ->
     Fmt.pr "verified: the fusion of Odd and Even is correct (%d related \
             call pairs)@."

@@ -59,13 +59,7 @@ let () =
 
   (* 3. the paper's hand-written fused program (Figure 7b) *)
   let hand = Programs.load Programs.tree_mutation_fused in
-  let map =
-    [
-      ("wnil", "wnil"); ("inil", "wnil"); ("wset", "wset");
-      ("ileaf", "ileaf"); ("istep", "istep"); ("mret", "mret");
-    ]
-  in
-  match Analysis.check_equivalence seq hand ~map with
+  match Analysis.check_equivalence seq hand ~map:Programs.tree_mutation_map with
   | Analysis.Equivalent _ ->
     Fmt.pr "verified: the paper's hand-fused program (Fig. 7b) is correct@."
   | Analysis.Not_equivalent _ -> Fmt.pr "hand fusion rejected?!@."

@@ -358,27 +358,16 @@ let sim_dir (pa : Blocks.t) (pb : Blocks.t) syma symb (qa : int)
         | Ast.Call c -> Blocks.blocks_of_func info c.callee
         | Ast.Straight _ -> []
     in
-    let func_reaches info from_func target =
-      let rec go seen f =
-        f = (Blocks.block info target).bfunc
-        || (not (List.mem f seen))
-           && List.exists (go (f :: seen))
-                (Blocks.blocks_of_func info f
-                |> List.filter_map (fun b ->
-                       match (Blocks.block info b).block with
-                       | Ast.Call c -> Some c.Ast.callee
-                       | Ast.Straight _ -> None))
-      in
-      go [] from_func
-    in
     (* is a chain through a frame created by [t] able to reach a record of
        [target]? *)
     let relevant info t target =
-      if t = main then (Blocks.block info target).bfunc = "Main"
-             || func_reaches info "Main" target
+      let reaches f =
+        Blocks.func_reaches info f (Blocks.block info target).bfunc
+      in
+      if t = main then reaches "Main"
       else
         match (Blocks.block info t).block with
-        | Ast.Call c -> func_reaches info c.Ast.callee target
+        | Ast.Call c -> reaches c.Ast.callee
         | Ast.Straight _ -> false
     in
     let relevant_any info t targets =

@@ -81,48 +81,10 @@ let shadow ~dark x conj =
   in
   combined @ rest
 
-(* Exhaustive search fallback over a small box, used only in the gray zone
-   of the Omega test. *)
-let brute_force conj =
-  let vars = all_vars conj in
-  let bound = 8 in
-  let n = List.length vars in
-  let width = (2 * bound) + 1 in
-  let rec power acc = function 0 -> acc | k -> power (acc * width) (k - 1) in
-  if n = 0 then
-    List.for_all (fun e -> Rat.sign (Lin.eval (fun _ -> Rat.zero) e) >= 0) conj
-    |> Option.some
-  else if n > 6 || power 1 n > 2_000_000 then None
-  else begin
-    let values = Array.make n (-bound) in
-    let rho x =
-      let rec index i = function
-        | [] -> assert false
-        | y :: _ when String.equal x y -> i
-        | _ :: rest -> index (i + 1) rest
-      in
-      Rat.of_int values.(index 0 vars)
-    in
-    let rec iterate i =
-      if i = n then
-        List.for_all (fun e -> Rat.sign (Lin.eval rho e) >= 0) conj
-      else begin
-        let rec try_value v =
-          if v > bound then false
-          else begin
-            values.(i) <- v;
-            iterate (i + 1) || try_value (v + 1)
-          end
-        in
-        try_value (-bound)
-      end
-    in
-    Some (iterate 0)
-  end
-
-(* Omega-test satisfiability.  [~exact] tracks whether every elimination so
-   far had a unit coefficient on one side (real shadow = dark shadow), in
-   which case the answer is exact. *)
+(* Omega-test satisfiability: [Some b] when decided, [None] when the
+   fuel ran out or neither shadow decides (an infeasible real shadow
+   proves unsat, a feasible dark shadow proves sat; with a unit
+   coefficient on one side the two coincide and the answer is exact). *)
 let rec omega ~fuel conj =
   Engine.tick ();
   if fuel = 0 then None
@@ -146,7 +108,7 @@ let rec omega ~fuel conj =
           | _ -> (
             match omega ~fuel:(fuel - 1) (shadow ~dark:true x conj) with
             | Some true -> Some true
-            | _ -> brute_force conj)
+            | _ -> None)
         end)
 
 (* Fault site: nudge the constant term of the first atom before deciding
@@ -166,8 +128,8 @@ let sat conj =
   | Some b -> b
   | None ->
     Log.warn (fun m ->
-        m "Omega test inconclusive on %a; answering unsat" pp_conj conj);
-    false
+        m "Omega test inconclusive on %a; answering sat" pp_conj conj);
+    true
 
 let sat_dnf disj = List.exists sat disj
 let implies hyp a = not (sat (neg_atom a :: hyp))

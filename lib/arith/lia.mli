@@ -6,11 +6,13 @@
 
     The decision procedure is the Omega-test core: Fourier–Motzkin
     elimination with integer tightening, using the real shadow for
-    refutation and the dark shadow for confirmation.  When the two shadows
-    disagree (only possible when both bound coefficients exceed 1, which the
-    Retreet condition systems never produce) a bounded exhaustive search is
-    used; if that is also inconclusive the procedure answers "unsatisfiable"
-    and logs a warning, which keeps race/conflict checking sound. *)
+    refutation and the dark shadow for confirmation.  When neither shadow
+    decides (only possible when both bound coefficients exceed 1, which the
+    bundled case studies never produce) or the elimination runs out of
+    fuel, the procedure answers "satisfiable" and logs a warning.  That
+    errs on the sound side for every caller: an unsat answer is always a
+    proof, so the encoder never drops a feasible path-condition assignment,
+    and {!implies}/{!equiv} only answer [true] when it is proved. *)
 
 type atom = Lin.t
 (** The constraint [e >= 0]. *)
@@ -35,7 +37,8 @@ val neg_atom : atom -> atom
 (** Integer-exact negation: [not (e >= 0)] = [-e - 1 >= 0]. *)
 
 val sat : conj -> bool
-(** Integer satisfiability of the conjunction. *)
+(** Integer satisfiability of the conjunction; [false] is a proof,
+    [true] may also mean undecided. *)
 
 val sat_dnf : conj list -> bool
 (** Satisfiability of a disjunction of conjunctions. *)

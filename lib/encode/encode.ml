@@ -42,6 +42,8 @@ type t = {
   consistent : (string * (int * bool) list list) list;
       (** per function: all consistent truth assignments to its arithmetic
           conditions (the paper's ConsistentCondSet) *)
+  reaches : (string * string list) list;
+      (** per function [f]: every [g] with [Blocks.func_reaches info f g] *)
   field_sensitive : bool;
       (** [false] = the paper's node-granularity dependence: any two
           accesses to the same node conflict, regardless of field *)
@@ -98,38 +100,20 @@ let make ?(field_sensitive = true) ?(prune = true) (info : Blocks.t) : t =
         (f.fname, assignments))
       info.prog.funcs
   in
-  { info; sym; rw; arith_conds; consistent; field_sensitive; prune }
+  let funcs = List.map (fun (f : Ast.func) -> f.fname) info.prog.funcs in
+  let reaches =
+    List.map
+      (fun f -> (f, List.filter (Blocks.func_reaches info f) funcs))
+      funcs
+  in
+  { info; sym; rw; arith_conds; consistent; reaches; field_sensitive; prune }
 
-(* Call-graph reachability: can a chain of calls starting from call block
-   [s] reach a frame of function [fname]?  In a valid configuration with
-   current block [q], every labeled call chain terminates at the current
-   record, so only calls that reach [func q] can carry a record; the
-   encoder uses this to force all other labels empty and to prune
-   divergence continuations. *)
-let func_reaches =
-  let cache : (Obj.t * string * string, bool) Hashtbl.t = Hashtbl.create 64 in
-  fun (t : t) (from_func : string) (fname : string) ->
-    let key = (Obj.repr t.info, from_func, fname) in
-    match Hashtbl.find_opt cache key with
-    | Some b -> b
-    | None ->
-      let rec go seen f =
-        f = fname
-        || (not (List.mem f seen))
-           &&
-           let callees =
-             Blocks.blocks_of_func t.info f
-             |> List.filter_map (fun b ->
-                    match (Blocks.block t.info b).block with
-                    | Ast.Call c -> Some c.callee
-                    | Ast.Straight _ -> None)
-             |> List.sort_uniq String.compare
-           in
-           List.exists (go (f :: seen)) callees
-      in
-      let b = go [] from_func in
-      Hashtbl.add cache key b;
-      b
+(* Call-graph reachability, read from the table built by [make]: in a
+   valid configuration with current block [q], every labeled call chain
+   terminates at the current record, so only calls that reach [func q] can
+   carry a record; the encoder uses this to force all other labels empty
+   and to prune divergence continuations. *)
+let func_reaches t f g = List.mem g (List.assoc f t.reaches)
 
 (** Can call block [s] (or [main]) create a frame whose chain reaches a
     record of block [q]? *)

@@ -32,6 +32,9 @@ type t = {
   arith_conds : int list;
   consistent : (string * (int * bool) list list) list;
       (** the paper's ConsistentCondSet, per function *)
+  reaches : (string * string list) list;
+      (** per function [f]: every [g] with [Blocks.func_reaches info f g],
+          tabulated once so queries only read it *)
   field_sensitive : bool;
   prune : bool;
 }

@@ -191,6 +191,25 @@ let callers_of t q =
 
 let same_func t s q = t.blocks.(s).bfunc = t.blocks.(q).bfunc
 
+(** Call-graph reachability, reflexive: can a chain of calls starting in a
+    frame of [f] create a frame of [g]? *)
+let func_reaches t f g =
+  let callees f =
+    List.filter_map
+      (fun b ->
+        match t.blocks.(b).block with
+        | Ast.Call c -> Some c.callee
+        | Ast.Straight _ -> None)
+      (blocks_of_func t f)
+  in
+  let rec go seen = function
+    | [] -> false
+    | f :: _ when f = g -> true
+    | f :: rest when List.mem f seen -> go seen rest
+    | f :: rest -> go (f :: seen) (callees f @ rest)
+  in
+  go [] [ f ]
+
 type order = Prec | Follows | Branch | Par
 
 (** Relation between two distinct blocks of the same function, determined

@@ -101,6 +101,10 @@ val callers_of : t -> int -> int list
 val same_func : t -> int -> int -> bool
 (** The paper's [s ~ q]. *)
 
+val func_reaches : t -> string -> string -> bool
+(** [func_reaches t f g]: a chain of calls starting in a frame of function
+    [f] can create a frame of [g] (reflexive: [f] reaches itself). *)
+
 type order = Prec | Follows | Branch | Par
 
 val order : t -> int -> int -> order

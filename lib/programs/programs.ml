@@ -8,658 +8,17 @@
     rewriting: the pointer swap is simulated by a boolean field
     [n.swapped] ("children are exchanged"), reads of [n.l] in downstream
     code become reads of [n.r] (the branch-eliminated form the paper
-    derives), so the programs below are the standard Retreet programs the
-    paper actually fed to the solver.
+    derives), so the programs are the standard Retreet programs the paper
+    actually fed to the solver.
 
     CSS minification (Figure 8) is expressed after left-child/right-sibling
     binarization, with the string conditions and transfer functions
-    replaced by arithmetic ones, exactly as the paper describes. *)
+    replaced by arithmetic ones, exactly as the paper describes.
 
-(* ------------------------------------------------------------------ *)
-(* Mutually recursive size counting (Figures 3 and 6)                   *)
+    The sources are the files under [programs/], embedded at build time as
+    [Program_files] (see this directory's [dune]). *)
 
-(** Figure 3: [Odd]/[Even] in parallel.  Block labels match the paper. *)
-let size_counting =
-  {|
-Odd(n) {
-  if (n == nil) {
-    s0: return 0
-  } else {
-    s1: ls = Even(n.l);
-    s2: rs = Even(n.r);
-    s3: return ls + rs + 1
-  }
-}
-
-Even(n) {
-  if (n == nil) {
-    s4: return 0
-  } else {
-    s5: ls = Odd(n.l);
-    s6: rs = Odd(n.r);
-    s7: return ls + rs
-  }
-}
-
-Main(n) {
-  { s8: o = Odd(n) || s9: e = Even(n) };
-  s10: return o, e
-}
-|}
-
-(** The sequential composition [Odd; Even] — the fusion source. *)
-let size_counting_seq =
-  {|
-Odd(n) {
-  if (n == nil) {
-    s0: return 0
-  } else {
-    s1: ls = Even(n.l);
-    s2: rs = Even(n.r);
-    s3: return ls + rs + 1
-  }
-}
-
-Even(n) {
-  if (n == nil) {
-    s4: return 0
-  } else {
-    s5: ls = Odd(n.l);
-    s6: rs = Odd(n.r);
-    s7: return ls + rs
-  }
-}
-
-Main(n) {
-  s8: o = Odd(n);
-  s9: e = Even(n);
-  s10: return o, e
-}
-|}
-
-(** Figure 6a: the valid fusion.  [Fused(n)] returns [(Odd(n), Even(n))];
-    the odd count of a node combines the {e even} counts of its children.
-    Block [fnil] plays the roles of [s0] and [s4]; [fret] those of [s3]
-    and [s7]. *)
-let size_counting_fused =
-  {|
-Fused(n) {
-  if (n == nil) {
-    fnil: return 0, 0
-  } else {
-    f1: (lo, le) = Fused(n.l);
-    f2: (ro, re) = Fused(n.r);
-    fret: return le + re + 1, lo + ro
-  }
-}
-
-Main(n) {
-  s8: (o, e) = Fused(n);
-  s10: return o, e
-}
-|}
-
-(** Figure 6b: the invalid fusion — the combination is computed {e before}
-    the recursive calls, breaking the child-to-parent read-after-write
-    dependence. *)
-let size_counting_fused_invalid =
-  {|
-Fused(n) {
-  if (n == nil) {
-    fnil: return 0, 0
-  } else {
-    fret: ret1 = le + re + 1;
-    ret2 = lo + ro;
-    f1: (lo, le) = Fused(n.l);
-    f2: (ro, re) = Fused(n.r);
-    fout: return ret1, ret2
-  }
-}
-
-Main(n) {
-  s8: (o, e) = Fused(n);
-  s10: return o, e
-}
-|}
-
-(* ------------------------------------------------------------------ *)
-(* Tree mutation (Figure 7), after local-field rewriting                *)
-
-(** [Swap] marks every node as swapped; [IncrmLeft] reads the {e simulated}
-    left child, i.e. the physical right child, as derived by the paper's
-    branch elimination. *)
-let tree_mutation_seq =
-  {|
-Swap(n) {
-  if (n == nil) {
-    wnil: return
-  } else {
-    w1: Swap(n.l);
-    w2: Swap(n.r);
-    wset: n.swapped = 1;
-    return
-  }
-}
-
-IncrmLeft(n) {
-  if (n == nil) {
-    inil: return
-  } else {
-    i1: IncrmLeft(n.r);
-    i2: IncrmLeft(n.l);
-    if (n.r == nil) {
-      ileaf: n.v = 1;
-      return
-    } else {
-      istep: n.v = n.r.v + 1;
-      return
-    }
-  }
-}
-
-Main(n) {
-  m1: Swap(n);
-  m2: IncrmLeft(n);
-  mret: return
-}
-|}
-
-(** Figure 7b: the fused traversal. *)
-let tree_mutation_fused =
-  {|
-Fused(n) {
-  if (n == nil) {
-    wnil: return
-  } else {
-    w1: Fused(n.l);
-    w2: Fused(n.r);
-    wset: n.swapped = 1;
-    return;
-    if (n.r == nil) {
-      ileaf: n.v = 1;
-      return
-    } else {
-      istep: n.v = n.r.v + 1;
-      return
-    }
-  }
-}
-
-Main(n) {
-  m1: Fused(n);
-  mret: return
-}
-|}
-
-(* ------------------------------------------------------------------ *)
-(* CSS minification (Figure 8), binarized                               *)
-
-(** The three passes after left-child/right-sibling conversion ([n.l] =
-    first child, [n.r] = next sibling).  String conditions became
-    arithmetic tests on Int fields ([kind], [prop], [value]); the string
-    transfer functions became linear updates of [n.value]. *)
-let css_minification_seq =
-  {|
-ConvertValues(n) {
-  if (n == nil) {
-    cvnil: return
-  } else {
-    cv1: ConvertValues(n.l);
-    cv2: ConvertValues(n.r);
-    if (n.kind > 0) {
-      cvset: n.value = n.value - 1;
-      return
-    } else {
-      cvskip: return
-    }
-  }
-}
-
-MinifyFont(n) {
-  if (n == nil) {
-    mfnil: return
-  } else {
-    mf1: MinifyFont(n.l);
-    mf2: MinifyFont(n.r);
-    if (n.prop > 0) {
-      mfset: n.value = n.value - 2;
-      return
-    } else {
-      mfskip: return
-    }
-  }
-}
-
-ReduceInit(n) {
-  if (n == nil) {
-    rinil: return
-  } else {
-    ri1: ReduceInit(n.l);
-    ri2: ReduceInit(n.r);
-    if (n.value > 7) {
-      riset: n.value = n.value - 7;
-      return
-    } else {
-      riskip: return
-    }
-  }
-}
-
-Main(n) {
-  m1: ConvertValues(n);
-  m2: MinifyFont(n);
-  m3: ReduceInit(n);
-  mret: return
-}
-|}
-
-(** The fused single-pass minifier: one traversal applying the three
-    rewrites in pass order at every node. *)
-let css_minification_fused =
-  {|
-Fused(n) {
-  if (n == nil) {
-    cvnil: return
-  } else {
-    cv1: Fused(n.l);
-    cv2: Fused(n.r);
-    if (n.kind > 0) {
-      cvset: n.value = n.value - 1;
-      return
-    } else {
-      cvskip: return
-    };
-    if (n.prop > 0) {
-      mfset: n.value = n.value - 2;
-      return
-    } else {
-      mfskip: return
-    };
-    if (n.value > 7) {
-      riset: n.value = n.value - 7;
-      return
-    } else {
-      riskip: return
-    }
-  }
-}
-
-Main(n) {
-  m1: Fused(n);
-  mret: return
-}
-|}
-
-(* ------------------------------------------------------------------ *)
-(* Cycletree construction and routing (Figure 9)                        *)
-
-(** Ordered cycletree numbering (Figure 9's four mutually recursive
-    modes) followed by the routing-data computation.  [MAX]/[MIN] are
-    expanded into conditionals, the child accesses are nil-guarded, and
-    the per-node routing block is factored into the non-recursive helper
-    [Route] — the granularity at which the fusion aligns blocks. *)
-let cycletree_seq =
-  {|
-RootMode(n, number) {
-  if (n == nil) {
-    rmnil: return
-  } else {
-    rmset: n.num = number;
-    number = number + 1;
-    rm1: PreMode(n.l, number);
-    rm2: PostMode(n.r, number);
-    return
-  }
-}
-
-PreMode(n, number) {
-  if (n == nil) {
-    pmnil: return
-  } else {
-    pmset: n.num = number;
-    number = number + 1;
-    pm1: PreMode(n.l, number);
-    pm2: InMode(n.r, number);
-    return
-  }
-}
-
-InMode(n, number) {
-  if (n == nil) {
-    imnil: return
-  } else {
-    im1: PostMode(n.l, number);
-    imset: n.num = number;
-    number = number + 1;
-    im2: PreMode(n.r, number);
-    return
-  }
-}
-
-PostMode(n, number) {
-  if (n == nil) {
-    tmnil: return
-  } else {
-    tm1: InMode(n.l, number);
-    tm2: PostMode(n.r, number);
-    tmset: n.num = number;
-    number = number + 1;
-    return
-  }
-}
-
-ComputeRouting(n) {
-  if (n == nil) {
-    crnil: return
-  } else {
-    cr1: ComputeRouting(n.l);
-    cr2: ComputeRouting(n.r);
-    rt: Route(n);
-    crret: return
-  }
-}
-
-Route(n) {
-  if (n == nil) {
-    rtnil: return
-  } else {
-    if (n.l == nil) {
-      crlz: n.lmin = n.num;
-      n.lmax = n.num
-    } else {
-      crl: n.lmin = n.l.min;
-      n.lmax = n.l.max
-    };
-    if (n.r == nil) {
-      crrz: n.rmin = n.num;
-      n.rmax = n.num
-    } else {
-      crr: n.rmin = n.r.min;
-      n.rmax = n.r.max
-    };
-    if (n.lmax - n.rmax > 0) {
-      cmx1: n.max = n.lmax
-    } else {
-      cmx2: n.max = n.rmax
-    };
-    if (n.num - n.max > 0) {
-      cmx3: n.max = n.num
-    } else {
-      cmx4: n.max = n.max + 0
-    };
-    if (n.rmin - n.lmin > 0) {
-      cmn1: n.min = n.lmin
-    } else {
-      cmn2: n.min = n.rmin
-    };
-    if (n.min - n.num > 0) {
-      cmn3: n.min = n.num
-    } else {
-      cmn4: n.min = n.min + 0
-    };
-    rtret: return
-  }
-}
-
-Main(n) {
-  m1: RootMode(n, 0);
-  m2: ComputeRouting(n);
-  mret: return
-}
-|}
-
-(** The fused cycletree traversal: one pass performing the cyclic
-    numbering and, once a node's children are fully processed and its
-    number assigned, the routing computation for that node. *)
-let cycletree_fused =
-  {|
-FusedRoot(n, number) {
-  if (n == nil) {
-    rmnil: return
-  } else {
-    rmset: n.num = number;
-    number = number + 1;
-    rm1: FusedPre(n.l, number);
-    rm2: FusedPost(n.r, number);
-    rrt: Route(n);
-    return
-  }
-}
-
-FusedPre(n, number) {
-  if (n == nil) {
-    pmnil: return
-  } else {
-    pmset: n.num = number;
-    number = number + 1;
-    pm1: FusedPre(n.l, number);
-    pm2: FusedIn(n.r, number);
-    prt: Route(n);
-    return
-  }
-}
-
-FusedIn(n, number) {
-  if (n == nil) {
-    imnil: return
-  } else {
-    im1: FusedPost(n.l, number);
-    imset: n.num = number;
-    number = number + 1;
-    im2: FusedPre(n.r, number);
-    irt: Route(n);
-    return
-  }
-}
-
-FusedPost(n, number) {
-  if (n == nil) {
-    tmnil: return
-  } else {
-    tm1: FusedIn(n.l, number);
-    tm2: FusedPost(n.r, number);
-    tmset: n.num = number;
-    number = number + 1;
-    trt: Route(n);
-    return
-  }
-}
-
-Route(n) {
-  if (n == nil) {
-    rtnil: return
-  } else {
-    if (n.l == nil) {
-      crlz: n.lmin = n.num;
-      n.lmax = n.num
-    } else {
-      crl: n.lmin = n.l.min;
-      n.lmax = n.l.max
-    };
-    if (n.r == nil) {
-      crrz: n.rmin = n.num;
-      n.rmax = n.num
-    } else {
-      crr: n.rmin = n.r.min;
-      n.rmax = n.r.max
-    };
-    if (n.lmax - n.rmax > 0) {
-      cmx1: n.max = n.lmax
-    } else {
-      cmx2: n.max = n.rmax
-    };
-    if (n.num - n.max > 0) {
-      cmx3: n.max = n.num
-    } else {
-      cmx4: n.max = n.max + 0
-    };
-    if (n.rmin - n.lmin > 0) {
-      cmn1: n.min = n.lmin
-    } else {
-      cmn2: n.min = n.rmin
-    };
-    if (n.min - n.num > 0) {
-      cmn3: n.min = n.num
-    } else {
-      cmn4: n.min = n.min + 0
-    };
-    rtret: return
-  }
-}
-
-Main(n) {
-  m1: FusedRoot(n, 0);
-  mret: return
-}
-|}
-
-(** The parallelized variant the paper shows to be racy: the numbering
-    and the routing computation run concurrently, violating the
-    read-after-write dependence on [n.num]. *)
-let cycletree_par =
-  {|
-RootMode(n, number) {
-  if (n == nil) {
-    rmnil: return
-  } else {
-    rmset: n.num = number;
-    number = number + 1;
-    rm1: PreMode(n.l, number);
-    rm2: PostMode(n.r, number);
-    return
-  }
-}
-
-PreMode(n, number) {
-  if (n == nil) {
-    pmnil: return
-  } else {
-    pmset: n.num = number;
-    number = number + 1;
-    pm1: PreMode(n.l, number);
-    pm2: InMode(n.r, number);
-    return
-  }
-}
-
-InMode(n, number) {
-  if (n == nil) {
-    imnil: return
-  } else {
-    im1: PostMode(n.l, number);
-    imset: n.num = number;
-    number = number + 1;
-    im2: PreMode(n.r, number);
-    return
-  }
-}
-
-PostMode(n, number) {
-  if (n == nil) {
-    tmnil: return
-  } else {
-    tm1: InMode(n.l, number);
-    tm2: PostMode(n.r, number);
-    tmset: n.num = number;
-    number = number + 1;
-    return
-  }
-}
-
-ComputeRouting(n) {
-  if (n == nil) {
-    crnil: return
-  } else {
-    cr1: ComputeRouting(n.l);
-    cr2: ComputeRouting(n.r);
-    rt: Route(n);
-    crret: return
-  }
-}
-
-Route(n) {
-  if (n == nil) {
-    rtnil: return
-  } else {
-    if (n.l == nil) {
-      crlz: n.lmin = n.num;
-      n.lmax = n.num
-    } else {
-      crl: n.lmin = n.l.min;
-      n.lmax = n.l.max
-    };
-    if (n.r == nil) {
-      crrz: n.rmin = n.num;
-      n.rmax = n.num
-    } else {
-      crr: n.rmin = n.r.min;
-      n.rmax = n.r.max
-    };
-    if (n.lmax - n.rmax > 0) {
-      cmx1: n.max = n.lmax
-    } else {
-      cmx2: n.max = n.rmax
-    };
-    if (n.num - n.max > 0) {
-      cmx3: n.max = n.num
-    } else {
-      cmx4: n.max = n.max + 0
-    };
-    if (n.rmin - n.lmin > 0) {
-      cmn1: n.min = n.lmin
-    } else {
-      cmn2: n.min = n.rmin
-    };
-    if (n.min - n.num > 0) {
-      cmn3: n.min = n.num
-    } else {
-      cmn4: n.min = n.min + 0
-    };
-    rtret: return
-  }
-}
-
-Main(n) {
-  { m1: RootMode(n, 0) || m2: ComputeRouting(n) };
-  mret: return
-}
-|}
-
-(* ------------------------------------------------------------------ *)
-(* A deliberately racy toy program (tests)                              *)
-
-let racy_writers =
-  {|
-A(n) {
-  if (n == nil) {
-    anil: return
-  } else {
-    aset: n.v = 1;
-    a1: A(n.l);
-    a2: A(n.r);
-    return
-  }
-}
-
-B(n) {
-  if (n == nil) {
-    bnil: return
-  } else {
-    bset: n.v = 2;
-    b1: B(n.l);
-    b2: B(n.r);
-    return
-  }
-}
-
-Main(n) {
-  { m1: A(n) || m2: B(n) };
-  mret: return
-}
-|}
-
-(* ------------------------------------------------------------------ *)
-(* Parsing helpers                                                      *)
+include Program_files
 
 let parse src = Parser.parse_program src
 
@@ -667,18 +26,29 @@ let load src : Blocks.t =
   let prog = parse src in
   Wf.check_exn prog
 
-let all_named =
-  [
-    ("size_counting", size_counting);
-    ("size_counting_seq", size_counting_seq);
-    ("size_counting_fused", size_counting_fused);
-    ("size_counting_fused_invalid", size_counting_fused_invalid);
-    ("tree_mutation_seq", tree_mutation_seq);
-    ("tree_mutation_fused", tree_mutation_fused);
-    ("css_minification_seq", css_minification_seq);
-    ("css_minification_fused", css_minification_fused);
-    ("cycletree_seq", cycletree_seq);
-    ("cycletree_fused", cycletree_fused);
-    ("cycletree_par", cycletree_par);
-    ("racy_writers", racy_writers);
-  ]
+(* ------------------------------------------------------------------ *)
+(* Table 1 block maps: source-version label -> fused-version label      *)
+
+let size_counting_map =
+  [ ("s0", "fnil"); ("s4", "fnil"); ("s3", "fret"); ("s7", "fret");
+    ("s10", "s10") ]
+
+let tree_mutation_map =
+  [ ("wnil", "wnil"); ("inil", "wnil"); ("wset", "wset");
+    ("ileaf", "ileaf"); ("istep", "istep"); ("mret", "mret") ]
+
+let css_minification_map =
+  [ ("cvnil", "cvnil"); ("mfnil", "cvnil"); ("rinil", "cvnil");
+    ("cvset", "cvset"); ("cvskip", "cvskip"); ("mfset", "mfset");
+    ("mfskip", "mfskip"); ("riset", "riset"); ("riskip", "riskip");
+    ("mret", "mret") ]
+
+let cycletree_map =
+  [ ("rmnil", "rmnil"); ("pmnil", "pmnil"); ("imnil", "imnil");
+    ("tmnil", "tmnil"); ("rmset", "rmset"); ("pmset", "pmset");
+    ("imset", "imset"); ("tmset", "tmset"); ("rtnil", "rtnil");
+    ("crnil", "rmnil"); ("crnil", "pmnil"); ("crnil", "imnil");
+    ("crnil", "tmnil"); ("crlz", "crlz"); ("crl", "crl"); ("crrz", "crrz");
+    ("crr", "crr"); ("cmx1", "cmx1"); ("cmx2", "cmx2"); ("cmx3", "cmx3");
+    ("cmx4", "cmx4"); ("cmn1", "cmn1"); ("cmn2", "cmn2"); ("cmn3", "cmn3");
+    ("cmn4", "cmn4"); ("rtret", "rtret"); ("mret", "mret") ]

@@ -6,20 +6,6 @@
 
 let slow = Sys.getenv_opt "RETREET_SLOW_TESTS" <> None
 
-let map_fused =
-  [ ("s0", "fnil"); ("s4", "fnil"); ("s3", "fret"); ("s7", "fret");
-    ("s10", "s10") ]
-
-let map_mutation =
-  [ ("wnil", "wnil"); ("inil", "wnil"); ("wset", "wset");
-    ("ileaf", "ileaf"); ("istep", "istep"); ("mret", "mret") ]
-
-let map_css =
-  [ ("cvnil", "cvnil"); ("mfnil", "cvnil"); ("rinil", "cvnil");
-    ("cvset", "cvset"); ("cvskip", "cvskip"); ("mfset", "mfset");
-    ("mfskip", "mfskip"); ("riset", "riset"); ("riskip", "riskip");
-    ("mret", "mret") ]
-
 (* --- E3: the running example is data-race-free --- *)
 
 let test_running_example_race_free () =
@@ -66,16 +52,45 @@ Main(n) { m1: A(n); m2: B(n); mret: return }
   | Analysis.Race_unknown _ ->
     Alcotest.fail "unexpected Unknown under unlimited budget"
 
+(* --- a write guarded by a system the Omega test cannot decide --- *)
+
+(* [aset] runs only where 2x - 3y = 1 and x >= 20, whose smallest model
+   (x = 20, y = 13) lies outside any small search box, and [B] writes the
+   same field everywhere, in parallel.  An undecided condition system must
+   keep its path-condition assignment, so the race is found. *)
+let test_undecided_guard_racy () =
+  let src =
+    {|
+A(n) {
+  if (n == nil) { anil: return } else {
+    a1: A(n.l); a2: A(n.r);
+    if (n.x + n.x - n.y - n.y - n.y > 0) {
+      if (n.y + n.y + n.y - n.x - n.x + 2 > 0) {
+        if (n.x - 19 > 0) { aset: n.v = 1; return } else { return }
+      } else { return }
+    } else { return }
+  }
+}
+B(n) {
+  if (n == nil) { bnil: return } else {
+    bset: n.v = 2; b1: B(n.l); b2: B(n.r); return }
+}
+Main(n) { { m1: A(n) || m2: B(n) }; mret: return }
+|}
+  in
+  match Analysis.check_data_race (Programs.load src) with
+  | Analysis.Race _ -> ()
+  | Analysis.Race_free -> Alcotest.fail "race behind an undecided guard missed"
+  | Analysis.Race_unknown _ ->
+    Alcotest.fail "unexpected Unknown under unlimited budget"
+
 (* --- bisimulation --- *)
 
+(* An obviously wrong map is rejected; the right ones are checked by
+   [test_table1_maps] below. *)
 let test_bisimulation () =
   let p = Programs.load Programs.size_counting_seq in
   let fused = Programs.load Programs.size_counting_fused in
-  (match Analysis.check_bisimulation p fused ~map:map_fused with
-  | Analysis.Bisimilar r ->
-    Alcotest.(check bool) "relation nonempty" true (r <> [])
-  | Analysis.Not_bisimilar why -> Alcotest.failf "bisim failed: %s" why);
-  (* an obviously wrong map is rejected *)
   match
     Analysis.check_bisimulation p fused
       ~map:[ ("s0", "fret"); ("s3", "fnil") ]
@@ -83,12 +98,36 @@ let test_bisimulation () =
   | Analysis.Bisimilar _ -> Alcotest.fail "bogus map accepted"
   | Analysis.Not_bisimilar _ -> ()
 
+(* Every Table 1 fusion pairing with its shared block map: the
+   bisimulation is found, with the pinned number of related call pairs.
+   Builds no automaton, so E5 and E6 are cheap here. *)
+let test_table1_maps () =
+  List.iter
+    (fun (name, seq, fused, map, pairs) ->
+      match
+        Analysis.check_bisimulation (Programs.load seq) (Programs.load fused)
+          ~map
+      with
+      | Analysis.Bisimilar r ->
+        Alcotest.(check int) (name ^ " call pairs") pairs (List.length r)
+      | Analysis.Not_bisimilar why -> Alcotest.failf "%s: %s" name why)
+    Programs.
+      [
+        ("E1", size_counting_seq, size_counting_fused, size_counting_map, 7);
+        ("E2", size_counting_seq, size_counting_fused_invalid,
+         size_counting_map, 7);
+        ("E4", tree_mutation_seq, tree_mutation_fused, tree_mutation_map, 7);
+        ("E5", css_minification_seq, css_minification_fused,
+         css_minification_map, 10);
+        ("E6", cycletree_seq, cycletree_fused, cycletree_map, 27);
+      ]
+
 (* --- E1/E2: fusion of the mutually recursive size counting --- *)
 
 let test_fusion_valid () =
   let p = Programs.load Programs.size_counting_seq in
   let fused = Programs.load Programs.size_counting_fused in
-  match Analysis.check_equivalence p fused ~map:map_fused with
+  match Analysis.check_equivalence p fused ~map:Programs.size_counting_map with
   | Analysis.Equivalent _ -> ()
   | Analysis.Not_equivalent cx ->
     Alcotest.failf "valid fusion rejected: %a"
@@ -100,7 +139,9 @@ let test_fusion_valid () =
 let test_fusion_invalid () =
   let p = Programs.load Programs.size_counting_seq in
   let invalid = Programs.load Programs.size_counting_fused_invalid in
-  match Analysis.check_equivalence p invalid ~map:map_fused with
+  match
+    Analysis.check_equivalence p invalid ~map:Programs.size_counting_map
+  with
   | Analysis.Equivalent _ -> Alcotest.fail "invalid fusion accepted"
   | Analysis.Not_equivalent cx ->
     Alcotest.(check bool) "counterexample is a real difference" true
@@ -114,7 +155,7 @@ let test_fusion_invalid () =
 let test_tree_mutation_fusion () =
   let p = Programs.load Programs.tree_mutation_seq in
   let fused = Programs.load Programs.tree_mutation_fused in
-  match Analysis.check_equivalence p fused ~map:map_mutation with
+  match Analysis.check_equivalence p fused ~map:Programs.tree_mutation_map with
   | Analysis.Equivalent _ -> ()
   | Analysis.Not_equivalent cx ->
     Alcotest.failf "mutation fusion rejected: %a"
@@ -172,7 +213,7 @@ Main(n) {
   in
   let p = Programs.load Programs.tree_mutation_seq in
   let fused = Programs.load bad in
-  match Analysis.check_equivalence p fused ~map:map_mutation with
+  match Analysis.check_equivalence p fused ~map:Programs.tree_mutation_map with
   | Analysis.Equivalent _ -> Alcotest.fail "order-breaking fusion accepted"
   | Analysis.Not_equivalent cx ->
     Alcotest.(check bool) "difference replays" true
@@ -188,7 +229,9 @@ Main(n) {
 let test_css_fusion () =
   let p = Programs.load Programs.css_minification_seq in
   let fused = Programs.load Programs.css_minification_fused in
-  match Analysis.check_equivalence p fused ~map:map_css with
+  match
+    Analysis.check_equivalence p fused ~map:Programs.css_minification_map
+  with
   | Analysis.Equivalent _ -> ()
   | Analysis.Not_equivalent cx ->
     Alcotest.failf "css fusion rejected: %a" (Analysis.pp_counterexample p) cx
@@ -282,11 +325,16 @@ let () =
             test_racy_program_detected;
           Alcotest.test_case "sequentialized not racy" `Quick
             test_sequentialized_not_racy;
+          Alcotest.test_case "race behind an undecided guard" `Quick
+            test_undecided_guard_racy;
         ]
         @ maybe_slow "cycletree parallelization racy"
             test_cycletree_parallel_racy );
       ( "bisimulation",
-        [ Alcotest.test_case "size counting" `Quick test_bisimulation ] );
+        [
+          Alcotest.test_case "size counting" `Quick test_bisimulation;
+          Alcotest.test_case "Table 1 block maps" `Quick test_table1_maps;
+        ] );
       ( "equivalence",
         [
           Alcotest.test_case "fusion valid" `Quick test_fusion_valid;

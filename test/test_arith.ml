@@ -109,6 +109,28 @@ let test_lia_negation () =
   Alcotest.(check bool) "dnf covers" true
     (Lia.sat_dnf [ [ a ]; [ Lia.neg_atom a ] ])
 
+(* 2x - 3y = 1 with x >= 20: both bound coefficients of every variable
+   exceed 1, so neither Omega shadow decides it, and its smallest model
+   (x = 20, y = 13) lies far outside any small search box.  An undecided
+   system must count as satisfiable: an unsat answer drops a feasible
+   path-condition assignment from the encoding, which can prove a racy
+   program race-free. *)
+let test_lia_undecided_is_sat () =
+  let two_x_three_y =
+    Lin.sub (Lin.scale (Rat.of_int 2) x) (Lin.scale (Rat.of_int 3) y)
+  in
+  let conj =
+    [
+      Lia.ge0 (Lin.sub two_x_three_y (Lin.of_int 1));
+      Lia.ge0 (Lin.add (Lin.neg two_x_three_y) (Lin.of_int 1));
+      Lia.ge0 (Lin.sub x (Lin.of_int 20));
+    ]
+  in
+  let rho = function "x" -> Rat.of_int 20 | _ -> Rat.of_int 13 in
+  Alcotest.(check bool) "x = 20, y = 13 is a model" true
+    (List.for_all (fun e -> Rat.sign (Lin.eval rho e) >= 0) conj);
+  Alcotest.(check bool) "sat" true (Lia.sat conj)
+
 (* Random conjunctions with small unit-coefficient atoms, checked against
    brute force over a box that safely contains a solution if one exists
    within it; we only check agreement on the box-decidable direction:
@@ -189,6 +211,8 @@ let () =
           Alcotest.test_case "three vars" `Quick test_lia_three_vars;
           Alcotest.test_case "implies" `Quick test_lia_implies;
           Alcotest.test_case "negation" `Quick test_lia_negation;
+          Alcotest.test_case "undecided is sat" `Quick
+            test_lia_undecided_is_sat;
           qt prop_lia_sound;
           qt prop_lia_unsat_sound;
         ] );

@@ -7,20 +7,6 @@
 
 let slow = Sys.getenv_opt "RETREET_SLOW_TESTS" <> None
 
-let map_fused =
-  [ ("s0", "fnil"); ("s4", "fnil"); ("s3", "fret"); ("s7", "fret");
-    ("s10", "s10") ]
-
-let map_mutation =
-  [ ("wnil", "wnil"); ("inil", "wnil"); ("wset", "wset");
-    ("ileaf", "ileaf"); ("istep", "istep"); ("mret", "mret") ]
-
-let map_css =
-  [ ("cvnil", "cvnil"); ("mfnil", "cvnil"); ("rinil", "cvnil");
-    ("cvset", "cvset"); ("cvskip", "cvskip"); ("mfset", "mfset");
-    ("mfskip", "mfskip"); ("riset", "riset"); ("riskip", "riskip");
-    ("mret", "mret") ]
-
 (* --- budget mechanics --- *)
 
 let test_step_budget () =
@@ -100,14 +86,14 @@ let test_generous_preserves_verdicts () =
   (match
      Analysis.check_equivalence ~budget:generous seq
        (Programs.load Programs.size_counting_fused)
-       ~map:map_fused
+       ~map:Programs.size_counting_map
    with
   | Analysis.Equivalent _ -> ()
   | _ -> Alcotest.fail "E1 verdict changed under a generous budget");
   (match
      Analysis.check_equivalence ~budget:generous seq
        (Programs.load Programs.size_counting_fused_invalid)
-       ~map:map_fused
+       ~map:Programs.size_counting_map
    with
   | Analysis.Not_equivalent _ -> ()
   | _ -> Alcotest.fail "E2 verdict changed under a generous budget");
@@ -121,7 +107,7 @@ let test_generous_preserves_verdicts () =
     Analysis.check_equivalence ~budget:generous
       (Programs.load Programs.tree_mutation_seq)
       (Programs.load Programs.tree_mutation_fused)
-      ~map:map_mutation
+      ~map:Programs.tree_mutation_map
   with
   | Analysis.Equivalent _ -> ()
   | _ -> Alcotest.fail "E4 verdict changed under a generous budget"
@@ -131,7 +117,7 @@ let test_generous_preserves_verdicts_slow () =
      Analysis.check_equivalence ~budget:generous
        (Programs.load Programs.css_minification_seq)
        (Programs.load Programs.css_minification_fused)
-       ~map:map_css
+       ~map:Programs.css_minification_map
    with
   | Analysis.Equivalent _ -> ()
   | _ -> Alcotest.fail "E5 verdict changed under a generous budget");
@@ -150,7 +136,7 @@ let test_tiny_budget_unknown_not_wrong () =
   match
     Analysis.check_equivalence
       ~budget:(Engine.budget ~max_steps:50 ())
-      p p' ~map:map_css
+      p p' ~map:Programs.css_minification_map
   with
   | Analysis.Equiv_unknown u ->
     Alcotest.(check bool) "pairs_done <= pairs_total" true
@@ -173,7 +159,7 @@ let test_progress_monotone () =
       match
         Analysis.check_equivalence
           ~budget:(Engine.budget ~max_steps:steps ())
-          p p' ~map:map_css
+          p p' ~map:Programs.css_minification_map
       with
       | Analysis.Equiv_unknown u ->
         Alcotest.(check bool)
@@ -209,7 +195,7 @@ let test_random_budgets_sound =
          Analysis.check_equivalence ~budget
            (Programs.load Programs.size_counting_seq)
            (Programs.load Programs.size_counting_fused_invalid)
-           ~map:map_fused
+           ~map:Programs.size_counting_map
        with
       | Analysis.Equivalent _ ->
         QCheck.Test.fail_report "E2 accepted the invalid fusion"

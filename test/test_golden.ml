@@ -6,9 +6,12 @@
    shared by [retreet race], [retreet batch] and the daemon, so these
    goldens cover the presentation contract as well as the solver.  Three
    cheap equivalence pairs (the paper's E1, E2, E4) are pinned the same
-   way, through {!Analysis.render_equiv}.  A solver change that flips any of
-   these verdicts, or degrades one to Unknown under the generous budget
-   below, fails loudly here instead of surfacing downstream. *)
+   way, through {!Analysis.render_equiv}, with the Table 1 block maps of
+   {!Programs} ([size_counting_map], [tree_mutation_map]; E5 and E6 use
+   [css_minification_map] and [cycletree_map]).  A solver change that
+   flips any of these verdicts, or degrades one to Unknown under the
+   generous budget below, fails loudly here instead of surfacing
+   downstream. *)
 
 (* Decides every bundled query in well under a second; a regression that
    blows past it degrades to Unknown, which the table treats as a
@@ -47,24 +50,16 @@ let test_race_goldens () =
            (Validate.check_data_race ~level:Validate.Witness ~budget info)))
     race_table
 
-(* Block maps as in bench/main.ml (Table 1). *)
-let map_fused =
-  [ ("s0", "fnil"); ("s4", "fnil"); ("s3", "fret"); ("s7", "fret");
-    ("s10", "s10") ]
-
-let map_mutation =
-  [ ("wnil", "wnil"); ("inil", "wnil"); ("wset", "wset");
-    ("ileaf", "ileaf"); ("istep", "istep"); ("mret", "mret") ]
-
 let equiv_table =
   [
     ("E1 size_counting fusion", Programs.size_counting_seq,
-     Programs.size_counting_fused, map_fused,
+     Programs.size_counting_fused, Programs.size_counting_map,
      ("equivalent (bisimulation with 7 call pairs)", 0));
     ("E2 invalid fusion", Programs.size_counting_seq,
-     Programs.size_counting_fused_invalid, map_fused, ("NOT equivalent", 1));
+     Programs.size_counting_fused_invalid, Programs.size_counting_map,
+     ("NOT equivalent", 1));
     ("E4 tree_mutation fusion", Programs.tree_mutation_seq,
-     Programs.tree_mutation_fused, map_mutation,
+     Programs.tree_mutation_fused, Programs.tree_mutation_map,
      ("equivalent (bisimulation with 7 call pairs)", 0));
   ]
 

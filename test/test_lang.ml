@@ -241,29 +241,6 @@ let test_symexec () =
   Alcotest.(check int) "cvset has one arithmetic guard" 1 (List.length atoms);
   Alcotest.(check bool) "guard is satisfiable" true (Lia.sat atoms)
 
-(* The case-study programs shipped as .retreet files parse to the same
-   block structure as the embedded sources. *)
-let test_program_files () =
-  let dir = "../programs" in
-  if Sys.file_exists dir then
-    List.iter
-      (fun (name, src) ->
-        let path = Filename.concat dir (name ^ ".retreet") in
-        if Sys.file_exists path then begin
-          let on_disk = Parser.parse_file path in
-          let embedded = parse src in
-          let b1 = Blocks.analyze on_disk and b2 = Blocks.analyze embedded in
-          Alcotest.(check int)
-            (name ^ ": same block count")
-            (Blocks.nblocks b2) (Blocks.nblocks b1);
-          List.iter2
-            (fun (x : Blocks.block_info) (y : Blocks.block_info) ->
-              if not (Ast.equal_block x.block y.block) then
-                Alcotest.failf "%s: block %s differs on disk" name x.label)
-            (Blocks.all_blocks b1) (Blocks.all_blocks b2)
-        end)
-      Programs.all_named
-
 let () =
   Alcotest.run "lang"
     [
@@ -273,7 +250,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "pretty roundtrip" `Quick test_pretty_roundtrip;
           Alcotest.test_case "errors" `Quick test_parse_errors;
-          Alcotest.test_case "program files" `Quick test_program_files;
         ] );
       ( "blocks",
         [

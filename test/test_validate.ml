@@ -9,10 +9,6 @@
    wrong-verdict demonstrations with validation off, proving the
    campaign exercises real corruption rather than no-ops. *)
 
-let map_mutation =
-  [ ("wnil", "wnil"); ("inil", "wnil"); ("wset", "wset");
-    ("ileaf", "ileaf"); ("istep", "istep"); ("mret", "mret") ]
-
 let racy () = Programs.load Programs.racy_writers
 let size_par () = Programs.load Programs.size_counting
 let mut_seq () = Programs.load Programs.tree_mutation_seq
@@ -143,7 +139,7 @@ let test_projection_shift_wrong () =
       match
         fst
           (equiv ~level:Validate.Off ~timeout:30. (mut_seq ()) (mut_fused ())
-             map_mutation)
+             Programs.tree_mutation_map)
       with
       | Analysis.Not_equivalent _ -> ()
       | _ ->
@@ -153,7 +149,7 @@ let test_projection_shift_wrong () =
     (fun () ->
       Validate.render Analysis.render_equiv
         (equiv ~level:Validate.Full ~timeout:30. (mut_seq ()) (mut_fused ())
-           map_mutation))
+           Programs.tree_mutation_map))
 
 (* --- the campaign: every site x 3 seeds x 3 queries, level Full --- *)
 
@@ -192,7 +188,7 @@ let campaign_queries =
       fun () ->
         classify_equiv
           (equiv ~level:Validate.Full ~timeout:4. (mut_seq ()) (mut_fused ())
-             map_mutation) );
+             Programs.tree_mutation_map) );
   ]
 
 let expected_sites =
@@ -244,7 +240,7 @@ let test_report_only () =
   Alcotest.(check bool) "clean race report ok" true (Validate.ok report);
   let result, report =
     equiv ~level:Validate.Full ~timeout:30. (mut_seq ()) (mut_fused ())
-      map_mutation
+      Programs.tree_mutation_map
   in
   (match result with
   | Analysis.Equivalent _ -> ()
