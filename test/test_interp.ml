@@ -231,6 +231,116 @@ let test_explore_agrees_with_run () =
        (fun ((o : Explore.outcome), _) -> o.returns = returns)
        r.outcomes)
 
+(* --- characterization: every bundled program on fixed seeded trees ---
+
+   Two digests per program, over the same trees: one of [Interp.run]'s
+   events (with their configurations), returns, final heaps and runtime
+   errors; one of [Explore.run_all]'s schedule counts and sorted
+   outcomes.  They were recorded before [Explore] ran [Interp]'s
+   evaluator, and pin that both still mean the same programs. *)
+
+let pinned_trees () =
+  let rng = Random.State.make [| 0xc4a7 |] in
+  let init _ =
+    List.map
+      (fun f -> (f, Random.State.int rng 12))
+      [ "v"; "value"; "kind"; "prop"; "num"; "swapped" ]
+  in
+  List.map (fun h -> Heap.complete_tree ~height:h ~init) [ 1; 2; 3 ]
+  @ List.init 2 (fun _ -> Heap.random ~init ~size:6 rng)
+
+let main_args (info : Blocks.t) =
+  List.map (fun _ -> 0) (Ast.main_func info.prog).int_params
+
+let render_run info tree =
+  let path = Fmt.str "%a" Interp.pp_path in
+  let locs l = String.concat "," (List.map (Fmt.str "%a" Interp.pp_loc) l) in
+  let render_event (e : Interp.event) =
+    Printf.sprintf "%s | %d at %s | reads %s | writes %s"
+      (String.concat " "
+         (List.map (fun (b, p) -> Printf.sprintf "%d:%s" b (path p)) e.ev_stack))
+      e.ev_block (path e.ev_path) (locs e.ev_reads) (locs e.ev_writes)
+  in
+  let heap = Heap.copy tree in
+  match Interp.run info heap (main_args info) with
+  | { Interp.events; returns } ->
+    String.concat "\n"
+      (List.map render_event events
+      @ [
+          "returns " ^ String.concat "," (List.map string_of_int returns);
+          Fmt.str "heap %a" Heap.pp heap;
+        ])
+  | exception Interp.Runtime_error msg -> "error " ^ msg
+
+let render_explore info tree =
+  let r =
+    Explore.run_all ~limit:200 info (fun () -> Heap.copy tree) (main_args info)
+  in
+  String.concat "\n"
+    (Printf.sprintf "%d %b" r.schedules_run r.exhausted
+    :: List.map
+         (fun ((o : Explore.outcome), n) ->
+           Printf.sprintf "%d x %s %s" n
+             (String.concat "," (List.map string_of_int o.returns))
+             o.heap_repr)
+         (List.sort compare r.outcomes))
+
+let pinned_digests =
+  [
+    ( "css_minification_fused",
+      "f0669c40e56e7f8fc73a002af7e390ee",
+      "032b95a735270e013483885c060eb50c" );
+    ( "css_minification_seq",
+      "a9415275ed4988366f898a1f108747be",
+      "032b95a735270e013483885c060eb50c" );
+    ( "cycletree_fused",
+      "86010c11fd5af30431c7dfd36c7ae75d",
+      "b113ad96187d8926bc8b83148c3d4c10" );
+    ( "cycletree_par",
+      "cc7e04e5eda74cb1097ef099459366c7",
+      "175bd449f72158a971ef00e479211f80" );
+    ( "cycletree_seq",
+      "cc7e04e5eda74cb1097ef099459366c7",
+      "b113ad96187d8926bc8b83148c3d4c10" );
+    ( "racy_writers",
+      "7ddb7afe8782d76b3ca06b633865b940",
+      "e2100457c850484a63abbf17d0507e07" );
+    ( "size_counting",
+      "04bbbfc12cbbfa9dec36ad88192fc17d",
+      "8e43f1bcfabad0dca29be88f9a11b11b" );
+    ( "size_counting_fused",
+      "cd6999ec7fb4fe3cfddf4b0fdbafdb50",
+      "d945e6e48f6cf3cb8842b30c10db971b" );
+    ( "size_counting_fused_invalid",
+      "da31add12830e586727739a954dae741",
+      "edc9897af0973e7b534e03839739e162" );
+    ( "size_counting_seq",
+      "04bbbfc12cbbfa9dec36ad88192fc17d",
+      "d945e6e48f6cf3cb8842b30c10db971b" );
+    ( "tree_mutation_fused",
+      "9d6a07ca05bcfadbd086b7cc277a205f",
+      "4a7c0af4bcf2766b0a76531cb3bdfe64" );
+    ( "tree_mutation_seq",
+      "64f1279863b4e6e59af639de25554736",
+      "4a7c0af4bcf2766b0a76531cb3bdfe64" );
+  ]
+
+let test_characterization () =
+  let trees = pinned_trees () in
+  let digest render info =
+    Digest.to_hex
+      (Digest.string (String.concat "\n--\n" (List.map (render info) trees)))
+  in
+  let actual =
+    List.map
+      (fun (name, src) ->
+        let info = info_of src in
+        (name, digest render_run info, digest render_explore info))
+      Programs.all_named
+  in
+  Alcotest.(check (list (triple string string string)))
+    "run and explore digests" pinned_digests actual
+
 let () =
   Alcotest.run "interp"
     [
@@ -243,6 +353,7 @@ let () =
         [
           Alcotest.test_case "size counting" `Quick test_size_counting;
           Alcotest.test_case "events" `Quick test_events_are_configurations;
+          Alcotest.test_case "characterization" `Quick test_characterization;
         ] );
       ( "races",
         [
