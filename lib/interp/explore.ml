@@ -4,141 +4,16 @@
     granularity ("every execution is a serialized interleaving of atomic
     statements").  {!Interp.run} executes one canonical schedule and
     derives unorderedness from the recorded configurations; this module
-    {e executes} the other schedules: every interleaving of the parallel
-    arms (up to a budget), replaying the program from scratch under an
-    explicit decision sequence.
+    is only a scheduler that makes {!Interp.run_scheduled} execute the
+    other schedules: every interleaving of the parallel arms (up to a
+    budget), replaying the program from scratch under an explicit
+    decision sequence.
 
     Its role is semantic cross-validation: a program proved data-race-free
     must be schedule-deterministic — every interleaving yields the same
     final heap and return vector — while racy programs typically exhibit
     several observable outcomes.  The test suite checks both directions
     against the static verdicts. *)
-
-(* A process: a tree of pending atomic steps.  All mutable state (heap,
-   frame variables) is recreated for every replay, so processes may
-   capture it freely in closures. *)
-type proc =
-  | Done
-  | Step of (unit -> proc)  (** one atomic statement *)
-  | Par of proc * proc * (unit -> proc)
-      (** two arms and the continuation once both finish *)
-
-let rec seq (p : proc) (k : unit -> proc) : proc =
-  match p with
-  | Done -> k ()
-  | Step f -> Step (fun () -> seq (f ()) k)
-  | Par (a, b, k') -> Par (a, b, fun () -> seq (k' ()) k)
-
-(* Advance one atomic step.  [choose] is consulted whenever both arms of a
-   parallel node can step. *)
-let rec step (p : proc) (choose : unit -> int) : proc option =
-  match p with
-  | Done -> None
-  | Step f -> Some (f ())
-  | Par (Done, Done, k) -> Some (k ())
-  | Par (a, Done, k) ->
-    Option.map (fun a' -> Par (a', Done, k)) (step a choose)
-  | Par (Done, b, k) ->
-    Option.map (fun b' -> Par (Done, b', k)) (step b choose)
-  | Par (a, b, k) ->
-    if choose () = 0 then Option.map (fun a' -> Par (a', b, k)) (step a choose)
-    else Option.map (fun b' -> Par (a, b', k)) (step b choose)
-
-(* Build the process of one run.  Mirrors Interp.run's semantics without
-   event recording. *)
-let proc_of_run (info : Blocks.t) (heap : Heap.tree) (main_args : int list) :
-    proc * int list ref =
-  let returned_main = ref [] in
-  let rec exec_fun ~store_result fname tree args : proc =
-    let func =
-      match Ast.find_func info.prog fname with
-      | Some f -> f
-      | None -> raise (Interp.Runtime_error ("no function " ^ fname))
-    in
-    let vars : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    List.iter2 (fun p v -> Hashtbl.replace vars p v) func.int_params args;
-    let returned = ref [] in
-    let deref p =
-      match Heap.descend tree p with
-      | Some t -> t
-      | None -> raise (Interp.Runtime_error "nil dereference")
-    in
-    let rec eval = function
-      | Ast.Num k -> k
-      | Ast.Var x -> (
-        match Hashtbl.find_opt vars x with Some v -> v | None -> 0)
-      | Ast.Field (p, f) -> Heap.get_field (deref p) f
-      | Ast.Add (a, b) -> eval a + eval b
-      | Ast.Sub (a, b) -> eval a - eval b
-    in
-    let eval_cond c =
-      let rec go = function
-        | Ast.BTrue -> true
-        | Ast.NotB b -> not (go b)
-        | Ast.IsNilB p -> Heap.is_nil (deref p)
-        | Ast.Gt0 e -> eval e > 0
-      in
-      go c
-    in
-    let rec build (s : Blocks.astmt) : proc =
-      match s with
-      | Blocks.ABlock id -> (
-        let b = Blocks.block info id in
-        match b.block with
-        | Ast.Call c ->
-          Step
-            (fun () ->
-              let args = List.map eval c.args in
-              let target = deref c.target in
-              let sub =
-                exec_fun
-                  ~store_result:(fun rets ->
-                    List.iteri
-                      (fun i x ->
-                        Hashtbl.replace vars x
-                          (match List.nth_opt rets i with
-                          | Some v -> v
-                          | None -> 0))
-                      c.lhs)
-                  c.callee target args
-              in
-              sub)
-        | Ast.Straight assigns ->
-          Step
-            (fun () ->
-              List.iter
-                (fun a ->
-                  match a with
-                  | Ast.SetVar (x, e) -> Hashtbl.replace vars x (eval e)
-                  | Ast.SetField (p, f, e) ->
-                    let v = eval e in
-                    Heap.set_field (deref p) f v
-                  | Ast.Return es -> returned := List.map eval es)
-                assigns;
-              Done))
-      | Blocks.AIf (cid, flipped, s1, s2) ->
-        Step
-          (fun () ->
-            let v =
-              match cid with
-              | None -> not flipped
-              | Some cid ->
-                let base = eval_cond (Blocks.cond info cid).cond in
-                if flipped then not base else base
-            in
-            if v then build s1 else build s2)
-      | Blocks.ASeq (a, b) -> seq (build a) (fun () -> build b)
-      | Blocks.APar (a, b) -> Par (build a, build b, fun () -> Done)
-    in
-    seq (build (Blocks.body_of info fname)) (fun () ->
-        store_result !returned;
-        Done)
-  in
-  ( Step
-      (fun () ->
-        exec_fun ~store_result:(fun r -> returned_main := r) "Main" heap
-          main_args),
-    returned_main )
 
 (* One replay under a decision prefix; decisions beyond the prefix default
    to 0 and are appended, so the returned list is the complete schedule. *)
@@ -158,12 +33,10 @@ let replay (info : Blocks.t) (mk_heap : unit -> Heap.tree) (args : int list)
     taken := d :: !taken;
     d
   in
-  let p, returned = proc_of_run info heap args in
-  let rec drive p =
-    match step p choose with None -> () | Some p' -> drive p'
+  let { Interp.returns; _ } =
+    Interp.run_scheduled ~record:false choose info heap args
   in
-  drive p;
-  (heap, !returned, List.rev !taken)
+  (heap, returns, List.rev !taken)
 
 type outcome = { heap_repr : string; returns : int list }
 
@@ -174,8 +47,8 @@ type result = {
 }
 
 (** Explore interleavings of the program on (fresh copies of) the heap
-    produced by [mk_heap], depth-first over the binary schedule decisions,
-    up to [limit] replays. *)
+    produced by [mk_heap], breadth-first over the binary schedule
+    decisions, up to [limit] replays. *)
 let run_all ?(limit = 512) (info : Blocks.t) (mk_heap : unit -> Heap.tree)
     (args : int list) : result =
   let outcomes : (outcome, int) Hashtbl.t = Hashtbl.create 8 in
@@ -185,7 +58,6 @@ let run_all ?(limit = 512) (info : Blocks.t) (mk_heap : unit -> Heap.tree)
      within a small budget *)
   let queue = Queue.create () in
   Queue.add [] queue;
-  let exhausted = ref true in
   while (not (Queue.is_empty queue)) && !count < limit do
     let prefix = Queue.pop queue in
     incr count;
@@ -201,10 +73,9 @@ let run_all ?(limit = 512) (info : Blocks.t) (mk_heap : unit -> Heap.tree)
           Queue.add (List.filteri (fun j _ -> j < i) taken @ [ 1 ]) queue)
       taken
   done;
-  if not (Queue.is_empty queue) then exhausted := false;
   {
     schedules_run = !count;
-    exhausted = !exhausted;
+    exhausted = Queue.is_empty queue;
     outcomes = Hashtbl.fold (fun o n acc -> (o, n) :: acc) outcomes [];
   }
 

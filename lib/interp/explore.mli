@@ -2,9 +2,10 @@
 
     The paper's semantics interleaves parallel branches at statement
     granularity; this module {e executes} the interleavings — replaying
-    the program from scratch under explicit decision sequences, breadth-
-    first over the decision tree — rather than deriving unorderedness
-    from one canonical run like {!Interp.races}.
+    the program from scratch through {!Interp.run_scheduled} under
+    explicit decision sequences, breadth-first over the decision tree —
+    rather than deriving unorderedness from one canonical run like
+    {!Interp.races}.
 
     Its role is semantic cross-validation: a program proved data-race-free
     must be schedule-deterministic, while racy programs typically exhibit

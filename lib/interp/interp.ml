@@ -7,7 +7,11 @@
     call stack, i.e. exactly the {e configuration} of Section 3.  Two
     iterations are unordered iff their configurations diverge at a parallel
     pair of blocks; a race is an unordered conflicting pair.  This lets the
-    test suite replay MSO verdicts on concrete trees. *)
+    test suite replay MSO verdicts on concrete trees.
+
+    This is the only code that executes Retreet statements: a run is a
+    process of atomic steps, {!run} takes its left-first schedule and
+    {!Explore} drives the others through {!run_scheduled}. *)
 
 type frame_id = int * Ast.dir list
 (** Creating call block ([-1] for the [Main] frame) and the frame node's
@@ -44,21 +48,44 @@ let error fmt = Fmt.kstr (fun s -> raise (Runtime_error s)) fmt
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
-let run (info : Blocks.t) (heap : Heap.tree) (main_args : int list) : result =
+(* A run is a process: a tree of pending atomic steps, one per call
+   block, straight-line block and branch condition, with a [Par] node per
+   parallel composition.  Frame state lives in the closures. *)
+type proc =
+  | Done
+  | Step of (unit -> proc)  (** one atomic statement *)
+  | Par of proc * proc * (unit -> proc)
+      (** two arms and the continuation once both finish *)
+
+(* Advance one atomic step.  [choose] is consulted whenever both arms of a
+   parallel node can step; [0] picks the left one. *)
+let rec step choose = function
+  | Done -> None
+  | Step f -> Some (f ())
+  | Par (Done, Done, k) -> Some (k ())
+  | Par (a, Done, k) -> Option.map (fun a' -> Par (a', Done, k)) (step choose a)
+  | Par (Done, b, k) -> Option.map (fun b' -> Par (Done, b', k)) (step choose b)
+  | Par (a, b, k) ->
+    if choose () = 0 then
+      Option.map (fun a' -> Par (a', b, k)) (step choose a)
+    else Option.map (fun b' -> Par (a, b', k)) (step choose b)
+
+let run_scheduled ~record choose (info : Blocks.t) (heap : Heap.tree)
+    (main_args : int list) : result =
   let events = ref [] in
-  let emit ev = events := ev :: !events in
-  (* Executes function [fname] on [tree] (at absolute path [path]); the
-     frame was created by call block [call_id] from [caller]; a [return]
-     inside writes the [lhs] variables of the caller frame. *)
-  let rec exec_fun ~stack ~call_id ~caller_frame ~lhs fname tree path args :
-      int list =
+  let finished () = Done in
+  (* The process that executes function [fname] on [tree] (at absolute
+     path [path]) and passes its returned vector to [k]; the frame was
+     created by call block [call_id] from frame [caller], and a [return]
+     inside writes the caller's [lhs] variables. *)
+  let rec exec_fun ~stack ~call_id ~caller ~lhs fname tree path args k =
     let func =
       match Ast.find_func info.prog fname with
       | Some f -> f
       | None -> error "call to undefined function %s" fname
     in
     let frame : frame_id = (call_id, path) in
-    let stack = stack @ [ (call_id, path) ] in
+    let stack = stack @ [ frame ] in
     let vars : (string, int) Hashtbl.t = Hashtbl.create 8 in
     (if List.length args <> List.length func.int_params then
        error "%s: expected %d Int arguments, got %d" fname
@@ -69,7 +96,7 @@ let run (info : Blocks.t) (heap : Heap.tree) (main_args : int list) : result =
        straight-line block of this frame *)
     let pending_reads = ref [] in
     let read_var reads x =
-      reads := LVar (frame, x) :: !reads;
+      if record then reads := LVar (frame, x) :: !reads;
       match Hashtbl.find_opt vars x with Some v -> v | None -> 0
     in
     let deref p =
@@ -81,7 +108,7 @@ let run (info : Blocks.t) (heap : Heap.tree) (main_args : int list) : result =
       let t = deref p in
       if Heap.is_nil t then error "%s: field read %a.%s on nil" fname
           Ast.pp_lexpr p f;
-      reads := LField (path @ p, f) :: !reads;
+      if record then reads := LField (path @ p, f) :: !reads;
       Heap.get_field t f
     in
     let rec eval reads = function
@@ -100,28 +127,24 @@ let run (info : Blocks.t) (heap : Heap.tree) (main_args : int list) : result =
       in
       go c
     in
-    let rec exec (s : Blocks.astmt) =
+    (* The process of statement [s], continuing with [k]. *)
+    let rec exec (s : Blocks.astmt) k =
       match s with
-      | Blocks.ABlock id -> exec_block id
+      | Blocks.ABlock id -> Step (fun () -> exec_block id k)
       | Blocks.AIf (cid, flipped, s1, s2) ->
-        let v =
-          match cid with
-          | None -> not flipped
-          | Some cid ->
-            let base = eval_cond pending_reads (Blocks.cond info cid).cond in
-            if flipped then not base else base
-        in
-        if v then exec s1 else exec s2
-      | Blocks.ASeq (a, b) ->
-        exec a;
-        exec b
-      | Blocks.APar (a, b) ->
-        (* Any serialization is a legal schedule; the oracle derives
-           unorderedness from the recorded configurations, so left-first
-           execution suffices for dependence analysis. *)
-        exec a;
-        exec b
-    and exec_block id =
+        Step
+          (fun () ->
+            let v =
+              match cid with
+              | None -> not flipped
+              | Some cid ->
+                let base = eval_cond pending_reads (Blocks.cond info cid).cond in
+                if flipped then not base else base
+            in
+            exec (if v then s1 else s2) k)
+      | Blocks.ASeq (a, b) -> exec a (fun () -> exec b k)
+      | Blocks.APar (a, b) -> Par (exec a finished, exec b finished, k)
+    and exec_block id k =
       let b = Blocks.block info id in
       match b.block with
       | Ast.Call c ->
@@ -131,60 +154,66 @@ let run (info : Blocks.t) (heap : Heap.tree) (main_args : int list) : result =
            iteration; mirroring the static analysis, its reads are not
            recorded as an event. *)
         let target = deref c.target in
-        let rets =
-          exec_fun ~stack ~call_id:id ~caller_frame:(Some (frame, vars))
-            ~lhs:c.lhs c.callee target (path @ c.target) args
-        in
-        List.iteri
-          (fun i x ->
-            Hashtbl.replace vars x
-              (match List.nth_opt rets i with Some v -> v | None -> 0))
-          c.lhs
+        exec_fun ~stack ~call_id:id ~caller:(Some frame) ~lhs:c.lhs c.callee
+          target (path @ c.target) args (fun rets ->
+            List.iteri
+              (fun i x ->
+                Hashtbl.replace vars x
+                  (match List.nth_opt rets i with Some v -> v | None -> 0))
+              c.lhs;
+            k ())
       | Ast.Straight assigns ->
         let reads = ref (List.rev !pending_reads) in
         pending_reads := [];
         let writes = ref [] in
+        let write l = if record then writes := l :: !writes in
         List.iter
           (fun a ->
             match a with
             | Ast.SetVar (x, e) ->
               let v = eval reads e in
-              writes := LVar (frame, x) :: !writes;
+              write (LVar (frame, x));
               Hashtbl.replace vars x v
             | Ast.SetField (p, f, e) ->
               let v = eval reads e in
               let t = deref p in
               if Heap.is_nil t then
                 error "%s: field write %a.%s on nil" fname Ast.pp_lexpr p f;
-              writes := LField (path @ p, f) :: !writes;
+              if record then write (LField (path @ p, f));
               Heap.set_field t f v
             | Ast.Return es ->
               returned := List.map (eval reads) es;
               (* the return writes the caller's receiving variables *)
-              (match caller_frame with
-              | Some (caller_id, _) when es <> [] ->
-                List.iter
-                  (fun x -> writes := LVar (caller_id, x) :: !writes)
-                  lhs
+              (match caller with
+              | Some caller when es <> [] ->
+                List.iter (fun x -> write (LVar (caller, x))) lhs
               | _ -> ()))
           assigns;
-        emit
-          {
-            ev_block = id;
-            ev_path = path;
-            ev_stack = stack;
-            ev_reads = List.sort_uniq compare !reads;
-            ev_writes = List.sort_uniq compare !writes;
-          }
+        if record then
+          events :=
+            {
+              ev_block = id;
+              ev_path = path;
+              ev_stack = stack;
+              ev_reads = List.sort_uniq compare !reads;
+              ev_writes = List.sort_uniq compare !writes;
+            }
+            :: !events;
+        k ()
     in
-    exec (Blocks.body_of info fname);
-    !returned
+    exec (Blocks.body_of info fname) (fun () -> k !returned)
   in
-  let returns =
-    exec_fun ~stack:[] ~call_id:(-1) ~caller_frame:None ~lhs:[] "Main" heap []
-      main_args
-  in
-  { events = List.rev !events; returns }
+  let returns = ref [] in
+  let rec drive p = match step choose p with None -> () | Some p -> drive p in
+  drive
+    (exec_fun ~stack:[] ~call_id:(-1) ~caller:None ~lhs:[] "Main" heap []
+       main_args (fun r ->
+         returns := r;
+         Done));
+  { events = List.rev !events; returns = !returns }
+
+let run info heap main_args =
+  run_scheduled ~record:true (fun () -> 0) info heap main_args
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic dependence oracle                                           *)

@@ -42,6 +42,15 @@ val run : Blocks.t -> Heap.tree -> int list -> result
     is mutated in place.  @raise Runtime_error on nil dereference or
     arity mismatch. *)
 
+val run_scheduled :
+  record:bool -> (unit -> int) -> Blocks.t -> Heap.tree -> int list -> result
+(** [run_scheduled ~record choose] is {!run} under an explicit schedule.
+    Each call block, straight-line block and branch condition is one
+    atomic step; [choose ()] is consulted whenever both arms of a parallel
+    composition can step, and picks the left arm on [0], the right one
+    otherwise.  {!run} is [run_scheduled ~record:true (fun () -> 0)];
+    with [~record:false] no event is recorded ([events] is empty). *)
+
 val unordered : Blocks.t -> event -> event -> bool
 (** Do the two iterations' configurations diverge at a parallel pair of
     blocks (Section 3's schedule relation, on concrete stacks)? *)

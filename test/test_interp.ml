@@ -231,6 +231,28 @@ let test_explore_agrees_with_run () =
        (fun ((o : Explore.outcome), _) -> o.returns = returns)
        r.outcomes)
 
+let test_explore_errors_like_run () =
+  (* exploration runs the interpreter's own evaluator, so bad input fails
+     with the same Runtime_error as the canonical run *)
+  let error_of f =
+    match f () with
+    | () -> "no error"
+    | exception Interp.Runtime_error msg -> msg
+  in
+  let check name src args =
+    (* ill-formed on purpose: no well-formedness check *)
+    let info = Blocks.analyze (Parser.parse_program src) in
+    let base = Heap.leaf ~fields:[ ("v", 1) ] () in
+    let expected = error_of (fun () -> ignore (Interp.run info (Heap.copy base) args)) in
+    Alcotest.(check bool) (name ^ ": run fails") true (expected <> "no error");
+    Alcotest.(check string) name expected
+      (error_of (fun () ->
+           ignore (Explore.run_all info (fun () -> Heap.copy base) args)))
+  in
+  check "field read on nil" "Main(n) { a: n.v = n.l.v; return }" [];
+  check "field write on nil" "Main(n) { a: n.l.v = 1; return }" [];
+  check "arity" "Main(n) { a: n.v = 1; return }" [ 1 ]
+
 (* --- characterization: every bundled program on fixed seeded trees ---
 
    Two digests per program, over the same trees: one of [Interp.run]'s
@@ -370,6 +392,8 @@ let () =
           Alcotest.test_case "counts" `Quick test_explore_counts;
           Alcotest.test_case "agrees with run" `Quick
             test_explore_agrees_with_run;
+          Alcotest.test_case "errors like run" `Quick
+            test_explore_errors_like_run;
         ] );
       ( "equivalence",
         [
