@@ -673,7 +673,7 @@ let fuse_cmd =
       Fmt.epr "cannot fuse: %s@." e;
       1
     | Ok (prog', map) ->
-      Fmt.pr "%a@.@.// block map: %a@." Ast.pp_prog prog'
+      Fmt.pr "%s@.// block map: %a@." (Pretty.print_prog prog')
         Fmt.(
           list ~sep:(any ", ")
             (fun ppf (a, b) -> Fmt.pf ppf "%s=%s" a b))

@@ -351,13 +351,6 @@ let sim_dir (pa : Blocks.t) (pb : Blocks.t) syma symb (qa : int)
          qbs)
   then None
   else begin
-    let callee_blocks info t =
-      if t = main then Blocks.blocks_of_func info "Main"
-      else
-        match (Blocks.block info t).block with
-        | Ast.Call c -> Blocks.blocks_of_func info c.callee
-        | Ast.Straight _ -> []
-    in
     (* is a chain through a frame created by [t] able to reach a record of
        [target]? *)
     let relevant info t target =
@@ -391,12 +384,14 @@ let sim_dir (pa : Blocks.t) (pb : Blocks.t) syma symb (qa : int)
         calls_a
     in
     let step_calls info targets t =
-      callee_blocks info t
+      Blocks.callee_blocks info t
       |> List.filter (fun u ->
              Blocks.is_call info u && relevant_any info u targets)
     in
-    let last_a u = List.mem qa (callee_blocks pa u) in
-    let last_b u' = List.exists (fun qb -> List.mem qb (callee_blocks pb u')) qbs in
+    let last_a u = List.mem qa (Blocks.callee_blocks pa u) in
+    let last_b u' =
+      List.exists (fun qb -> List.mem qb (Blocks.callee_blocks pb u')) qbs
+    in
     let ok r (t, t') =
       let cs = step_calls pa [ qa ] t and cs' = step_calls pb qbs t' in
       List.for_all
@@ -408,8 +403,10 @@ let sim_dir (pa : Blocks.t) (pb : Blocks.t) syma symb (qa : int)
                   cs'))
         cs
       && (t <> main
-         || (not (List.mem qa (callee_blocks pa main)))
-         || List.exists (fun qb -> List.mem qb (callee_blocks pb main)) qbs)
+         || (not (List.mem qa (Blocks.callee_blocks pa main)))
+         || List.exists
+              (fun qb -> List.mem qb (Blocks.callee_blocks pb main))
+              qbs)
     in
     let rec prune r =
       let r2 = List.filter (ok r) r in
@@ -685,22 +682,8 @@ let replay_equivalence (p : Blocks.t) (p' : Blocks.t)
     (cx : counterexample) : bool =
   let differs heap = not (Interp.equivalent_on p p' heap []) in
   differs (heap_of_witness cx.cx_tree)
-  ||
-  let rng = Random.State.make [| 0x5eed |] in
-  let fields =
-    (* common field names across the case studies; unknown fields are
-       simply ignored by the programs *)
-    [ "v"; "value"; "kind"; "prop"; "num"; "swapped" ]
-  in
-  let trials =
-    List.concat_map
-      (fun h ->
-        List.init 4 (fun _ ->
-            Heap.complete_tree ~height:h ~init:(fun _ ->
-                List.map (fun f -> (f, Random.State.int rng 12)) fields)))
-      [ 2; 3; 4 ]
-  in
-  List.exists differs trials
+  || List.exists differs
+       (Heap.probe_trees ~seed:0x5eed ~heights:[ 2; 3; 4 ] ~per_height:4)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

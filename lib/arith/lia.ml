@@ -8,7 +8,6 @@ type conj = atom list
 let ge0 e = e
 let gt0 e = Lin.sub e (Lin.of_int 1)
 let le0 e = Lin.neg e
-let lt0 e = gt0 (Lin.neg e)
 let eq0 e = [ ge0 e; le0 e ]
 let neg_atom e = Lin.sub (Lin.neg e) (Lin.of_int 1)
 

@@ -28,8 +28,6 @@ val gt0 : Lin.t -> atom
 
 val le0 : Lin.t -> atom
 
-val lt0 : Lin.t -> atom
-
 val eq0 : Lin.t -> conj
 (** [e = 0] as two atoms. *)
 

@@ -18,7 +18,6 @@ let id = function False -> 0 | True -> 1 | Node { id; _ } -> id
 
 let equal a b = a == b
 let hash t = id t
-let compare a b = Int.compare (id a) (id b)
 
 let bot = False
 let top = True
@@ -186,9 +185,7 @@ let xor a b =
 
 let imp a b = disj (neg a) b
 let iff a b = neg (xor a b)
-let ite c a b = disj (conj c a) (conj (neg c) b)
 let conj_list l = List.fold_left conj top l
-let disj_list l = List.fold_left disj bot l
 
 let restrict t v b =
   let st = st () in
@@ -203,26 +200,6 @@ let restrict t v b =
   go t
 
 let exists v t = disj (restrict t v false) (restrict t v true)
-let forall v t = conj (restrict t v false) (restrict t v true)
-
-let rename r t =
-  let st = st () in
-  let rec go t =
-    match t with
-    | False | True -> t
-    | Node { v; lo; hi; _ } ->
-      let v' = r v in
-      let lo' = go lo and hi' = go hi in
-      (* The renaming must keep the new variable above both sub-diagrams. *)
-      let check = function
-        | Node { v = w; _ } -> assert (v' < w)
-        | _ -> ()
-      in
-      check lo';
-      check hi';
-      mk st v' lo' hi'
-  in
-  go t
 
 let rec eval rho t =
   match t with
@@ -279,29 +256,6 @@ let sat_count ~nvars t =
         c)
   in
   count t *. (2. ** float_of_int (level t))
-
-let size t =
-  let seen = Hashtbl.create 16 in
-  let n = ref 0 in
-  let rec go = function
-    | False | True -> ()
-    | Node { id; lo; hi; _ } ->
-      if not (Hashtbl.mem seen id) then begin
-        Hashtbl.add seen id ();
-        incr n;
-        go lo;
-        go hi
-      end
-  in
-  go t;
-  !n
-
-let rec pp ppf t =
-  match t with
-  | False -> Fmt.string ppf "false"
-  | True -> Fmt.string ppf "true"
-  | Node { v; lo; hi; _ } ->
-    Fmt.pf ppf "@[<hv 2>(x%d ?@ %a :@ %a)@]" v pp hi pp lo
 
 (* ------------------------------------------------------------------ *)
 (* Self-validation                                                     *)

@@ -39,18 +39,10 @@ val imp : t -> t -> t
 
 val iff : t -> t -> t
 
-val ite : t -> t -> t -> t
-(** [ite c a b] is [if c then a else b], i.e. [(c ∧ a) ∨ (¬c ∧ b)]. *)
-
 val conj_list : t list -> t
-
-val disj_list : t list -> t
 
 val equal : t -> t -> bool
 (** Constant-time semantic equality (hash-consing). *)
-
-val compare : t -> t -> int
-(** Arbitrary total order, compatible with {!equal}. *)
 
 val hash : t -> int
 
@@ -63,13 +55,6 @@ val restrict : t -> var -> bool -> t
 
 val exists : var -> t -> t
 (** [exists i f] is [restrict f i false ∨ restrict f i true]. *)
-
-val forall : var -> t -> t
-
-val rename : (var -> var) -> t -> t
-(** [rename r f] substitutes variable [r i] for each variable [i].  The
-    mapping must be strictly monotone on the support of [f] (it preserves the
-    variable order), which is checked with an assertion. *)
 
 val eval : (var -> bool) -> t -> bool
 (** Evaluate under a valuation. *)
@@ -85,12 +70,6 @@ val any_sat : t -> (var * bool) list option
 val sat_count : nvars:int -> t -> float
 (** Number of satisfying assignments over the variable universe
     [0 .. nvars-1]. *)
-
-val size : t -> int
-(** Number of internal nodes of the diagram. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer (if-then-else normal form, indented). *)
 
 val check_integrity : unit -> (unit, string) result
 (** Re-check the ROBDD representation invariants (hash-cons key

@@ -12,7 +12,6 @@ let id = function Leaf { id; _ } -> id | Node { id; _ } -> id
 
 let equal a b = a == b
 let hash t = id t
-let compare a b = Int.compare (id a) (id b)
 
 module NodeKey = struct
   type t = var * int * int
@@ -234,23 +233,6 @@ let find_terminal t k =
   in
   go [] t
 
-let support t =
-  let seen = Hashtbl.create 16 in
-  let vars = ref [] in
-  let rec go t =
-    match t with
-    | Leaf _ -> ()
-    | Node { id; v; lo; hi } ->
-      if not (Hashtbl.mem seen id) then begin
-        Hashtbl.add seen id ();
-        if not (List.mem v !vars) then vars := v :: !vars;
-        go lo;
-        go hi
-      end
-  in
-  go t;
-  List.sort Int.compare !vars
-
 let size t =
   let seen = Hashtbl.create 16 in
   let n = ref 0 in
@@ -266,12 +248,6 @@ let size t =
   in
   go t;
   !n
-
-let rec pp ppf t =
-  match t with
-  | Leaf { value; _ } -> Fmt.int ppf value
-  | Node { v; lo; hi; _ } ->
-    Fmt.pf ppf "@[<hv 2>(x%d ?@ %a :@ %a)@]" v pp hi pp lo
 
 (* ------------------------------------------------------------------ *)
 (* Self-validation: same representation sweep as {!Bdd.check_integrity},

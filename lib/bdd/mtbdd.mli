@@ -26,8 +26,6 @@ val ite : Bdd.t -> t -> t -> t
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 val hash : t -> int
 
 val eval : (var -> bool) -> t -> int
@@ -66,11 +64,7 @@ val find_terminal : t -> int -> (var * bool) list option
 (** A partial valuation leading to the given terminal, if it occurs.
     Unlisted variables are don't-care. *)
 
-val support : t -> var list
-
 val size : t -> int
-
-val pp : Format.formatter -> t -> unit
 
 val check_integrity : unit -> (unit, string) result
 (** Re-check the MTBDD representation invariants (hash-cons key

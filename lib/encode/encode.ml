@@ -249,15 +249,6 @@ let next_formula t ns ~current u q : Mso.formula =
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
 
-(** Blocks of the function a call block [s] invokes ([s / t]); for the
-    [main] pseudo block, the blocks of [Main]. *)
-let callee_blocks t s =
-  if s = main_id then Blocks.blocks_of_func t.info "Main"
-  else
-    match (Blocks.block t.info s).block with
-    | Ast.Call c -> Blocks.blocks_of_func t.info c.callee
-    | Ast.Straight _ -> []
-
 (** Call blocks [s] with [s / q], including [main] when appropriate. *)
 let frame_creators t q =
   let cs = Blocks.callers_of t.info q in
@@ -295,7 +286,7 @@ let configuration t ns ~q ~x : Mso.formula =
           (fun tb ->
             if Blocks.is_call t.info tb then call_reaches_block t tb q
             else tb = q)
-          (callee_blocks t s)
+          (Blocks.callee_blocks t.info s)
       in
       let one_of =
         Mso.or_l
@@ -422,7 +413,7 @@ let divergence_group t ns1 ns2 ~current1 ~current2 ~target1 ~target2
     else (not calls_only)
          && match current with Some (q, _) -> tb = q | None -> false
   in
-  let ts = callee_blocks t s in
+  let ts = Blocks.callee_blocks t.info s in
   let continuations =
     Mso.or_l
       (List.map
@@ -465,7 +456,7 @@ let divergence_group t ns1 ns2 ~current1 ~current2 ~target1 ~target2
 let divergence_triples t (rel : Blocks.order) =
   List.concat_map
     (fun s ->
-      let ts = callee_blocks t s in
+      let ts = Blocks.callee_blocks t.info s in
       List.concat_map
         (fun t1 ->
           List.filter_map

@@ -161,11 +161,6 @@ let guarded f =
 
 type usage = { wall_s : float; nodes : int; steps : int }
 
-let no_usage = { wall_s = 0.; nodes = 0; steps = 0 }
-
-let pp_usage ppf u =
-  Format.fprintf ppf "%.3fs, %d nodes, %d steps" u.wall_s u.nodes u.steps
-
 let metered f =
   (* Like the installing branch of [with_budget unlimited], but the
      state is always installed (so the hooks count) and its counters are

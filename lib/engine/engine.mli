@@ -77,9 +77,6 @@ type usage = {
   steps : int;  (** abstract solver steps ({!tick} calls) *)
 }
 
-val no_usage : usage
-val pp_usage : Format.formatter -> usage -> unit
-
 val metered : (unit -> 'a) -> ('a, reason) result * usage
 (** [metered f] runs [f] in a transparent accounting extent: no limits
     of its own (it inherits whatever remains of any enclosing budget),

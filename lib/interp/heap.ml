@@ -107,6 +107,19 @@ let rec complete ~height:h ~(init : Ast.dir list -> (string * int) list) path =
 
 let complete_tree ~height ~init = complete ~height ~init []
 
+(* The case studies' field names; a program ignores those it does not
+   read. *)
+let probe_fields = [ "v"; "value"; "kind"; "prop"; "num"; "swapped" ]
+
+let probe_trees ~seed ~heights ~per_height =
+  let rng = Random.State.make [| seed |] in
+  List.concat_map
+    (fun height ->
+      List.init per_height (fun _ ->
+          complete_tree ~height ~init:(fun _ ->
+              List.map (fun f -> (f, Random.State.int rng 12)) probe_fields)))
+    heights
+
 (** A random tree with approximately [size] nodes. *)
 let random ?(init = fun _ -> []) ~size (rng : Random.State.t) : tree =
   let remaining = ref size in

@@ -56,6 +56,12 @@ val complete_tree :
 (** A complete binary tree; [init] receives each node's path and returns
     its initial fields. *)
 
+val probe_trees : seed:int -> heights:int list -> per_height:int -> tree list
+(** [per_height] complete trees of each height in [heights], in order.
+    Every node holds the case studies' fields [v value kind prop num
+    swapped], each drawn from [0, 12) by a generator seeded with [seed]:
+    the same arguments give the same trees. *)
+
 val random :
   ?init:(Ast.dir list -> (string * int) list) ->
   size:int ->

@@ -179,7 +179,7 @@ let run_scheduled ~record choose (info : Blocks.t) (heap : Heap.tree)
               let t = deref p in
               if Heap.is_nil t then
                 error "%s: field write %a.%s on nil" fname Ast.pp_lexpr p f;
-              if record then write (LField (path @ p, f));
+              write (LField (path @ p, f));
               Heap.set_field t f v
             | Ast.Return es ->
               returned := List.map (eval reads) es;

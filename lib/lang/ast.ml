@@ -26,17 +26,6 @@ type aexpr =
   | Add of aexpr * aexpr
   | Sub of aexpr * aexpr
 
-let rec pp_aexpr ppf = function
-  | Num k -> Fmt.int ppf k
-  | Var x -> Fmt.string ppf x
-  | Field (le, f) -> Fmt.pf ppf "%a.%s" pp_lexpr le f
-  | Add (a, b) -> Fmt.pf ppf "%a + %a" pp_aexpr a pp_atomic b
-  | Sub (a, b) -> Fmt.pf ppf "%a - %a" pp_aexpr a pp_atomic b
-
-and pp_atomic ppf = function
-  | (Num _ | Var _ | Field _) as a -> pp_aexpr ppf a
-  | a -> Fmt.pf ppf "(%a)" pp_aexpr a
-
 (** Atomic boolean conditions.  The paper assumes every boolean expression
     is atomic ([LExpr == nil] or [AExpr > 0]); richer conditions are
     rewritten by the front end into nested conditionals. *)
@@ -46,22 +35,10 @@ type bexpr =
   | BTrue
   | NotB of bexpr
 
-let rec pp_bexpr ppf = function
-  | IsNilB le -> Fmt.pf ppf "%a == nil" pp_lexpr le
-  | Gt0 a -> Fmt.pf ppf "%a > 0" pp_aexpr a
-  | BTrue -> Fmt.string ppf "true"
-  | NotB b -> Fmt.pf ppf "!(%a)" pp_bexpr b
-
 type assign =
   | SetField of lexpr * string * aexpr  (** [n.path.f = e] *)
   | SetVar of string * aexpr  (** [v = e] *)
   | Return of aexpr list  (** [return e1, ..., ek] *)
-
-let pp_assign ppf = function
-  | SetField (le, f, e) -> Fmt.pf ppf "%a.%s = %a" pp_lexpr le f pp_aexpr e
-  | SetVar (x, e) -> Fmt.pf ppf "%s = %a" x pp_aexpr e
-  | Return es ->
-    Fmt.pf ppf "return %a" Fmt.(list ~sep:(any ", ") pp_aexpr) es
 
 type call = {
   lhs : string list;  (** variables receiving the returned vector *)
@@ -70,24 +47,10 @@ type call = {
   args : aexpr list;  (** the [Int] arguments *)
 }
 
-let pp_call ppf { lhs; callee; target; args } =
-  (match lhs with
-  | [] -> ()
-  | [ x ] -> Fmt.pf ppf "%s = " x
-  | xs -> Fmt.pf ppf "(%a) = " Fmt.(list ~sep:(any ", ") string) xs);
-  Fmt.pf ppf "%s(%a%a)" callee pp_lexpr target
-    Fmt.(list ~sep:nop (fun ppf a -> Fmt.pf ppf ", %a" pp_aexpr a))
-    args
-
 (** A code block: the atomic unit of iteration. *)
 type block =
   | Call of call
   | Straight of assign list  (** a maximal run of non-call assignments *)
-
-let pp_block ppf = function
-  | Call c -> pp_call ppf c
-  | Straight assigns ->
-    Fmt.(list ~sep:(any ";@ ") pp_assign) ppf assigns
 
 (** Statements.  [label] carries an optional user block label ([sK:]) used
     to align blocks across program versions when checking equivalence. *)
@@ -114,38 +77,6 @@ let main_func prog =
   match find_func prog "Main" with
   | Some f -> f
   | None -> invalid_arg "Retreet program has no Main function"
-
-let rec pp_stmt ppf = function
-  | SBlock (label, b) ->
-    (match label with
-    | Some l -> Fmt.pf ppf "%s: %a" l pp_block b
-    | None -> pp_block ppf b)
-  | SIf (c, s1, s2) ->
-    Fmt.pf ppf "@[<v 2>if (%a) {@ %a@]@ @[<v 2>} else {@ %a@]@ }" pp_bexpr c
-      pp_stmt s1 pp_stmt s2
-  | SSeq (s1, s2) -> Fmt.pf ppf "%a;@ %a" pp_stmt s1 pp_stmt s2
-  | SPar (s1, s2) -> Fmt.pf ppf "@[<v 2>{@ %a@ ||@ %a@]@ }" pp_stmt s1 pp_stmt s2
-
-let pp_func ppf f =
-  Fmt.pf ppf "@[<v 2>%s(%a) {@ %a@]@ }" f.fname
-    Fmt.(list ~sep:(any ", ") string)
-    (f.loc_param :: f.int_params)
-    pp_stmt f.body
-
-let pp_prog ppf p = Fmt.(list ~sep:(any "@ @ ") pp_func) ppf p.funcs
-
-(** Structural equality helpers (used by tests and the transformation
-    checkers). *)
-let equal_block (a : block) (b : block) = a = b
-
-let rec equal_stmt a b =
-  match (a, b) with
-  | SBlock (_, x), SBlock (_, y) -> equal_block x y
-  | SIf (c1, a1, b1), SIf (c2, a2, b2) ->
-    c1 = c2 && equal_stmt a1 a2 && equal_stmt b1 b2
-  | SSeq (a1, b1), SSeq (a2, b2) | SPar (a1, b1), SPar (a2, b2) ->
-    equal_stmt a1 a2 && equal_stmt b1 b2
-  | _ -> false
 
 (** Variables read by an arithmetic expression. *)
 let rec aexpr_vars = function

@@ -234,10 +234,15 @@ let order t s q =
   diverge t.blocks.(s).bpos t.blocks.(q).bpos
 
 let parallel t s q = same_func t s q && s <> q && order t s q = Par
-let precedes t s q = same_func t s q && s <> q && order t s q = Prec
 
-(** The [Main] entry: treated as a virtual call creating the root frame. *)
-let main_blocks t = blocks_of_func t "Main"
+(** Blocks of the function a call block [s] invokes ([s / t]); for [-1],
+    the pseudo call creating the [Main] frame, the blocks of [Main]. *)
+let callee_blocks t s =
+  if s = -1 then blocks_of_func t "Main"
+  else
+    match t.blocks.(s).block with
+    | Ast.Call c -> blocks_of_func t c.callee
+    | Ast.Straight _ -> []
 
 let body_of t fname =
   match List.assoc_opt fname t.bodies with

@@ -114,9 +114,10 @@ val order : t -> int -> int -> order
 
 val parallel : t -> int -> int -> bool
 
-val precedes : t -> int -> int -> bool
-
-val main_blocks : t -> int list
+val callee_blocks : t -> int -> int list
+(** [callee_blocks t s]: the blocks [q] with [s / q], i.e. of the function
+    call block [s] invokes; for [-1], the pseudo call creating the [Main]
+    frame, the blocks of [Main]; [[]] for a non-call block. *)
 
 val body_of : t -> string -> astmt
 (** @raise Invalid_argument on an unknown function. *)

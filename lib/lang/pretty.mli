@@ -1,7 +1,7 @@
 (** Canonical pretty-printer for Retreet programs.
 
-    Unlike [Ast.pp_prog] (a debugging printer), [print_prog] emits concrete
-    [.retreet] syntax that reparses to a structurally identical AST:
+    [print_prog] emits concrete [.retreet] syntax that reparses to a
+    structurally identical AST:
 
       [Parser.parse_program (print_prog p)] equals [p] up to [fline]
 
@@ -19,7 +19,6 @@ val print_prog : Ast.prog -> string
 val print_func : Ast.func -> string
 
 val equal_func : Ast.func -> Ast.func -> bool
-(** Structural equality ignoring [fline] (labels {e are} compared, unlike
-    [Ast.equal_stmt]). *)
+(** Structural equality ignoring [fline] (labels included). *)
 
 val equal_prog : Ast.prog -> Ast.prog -> bool

@@ -17,10 +17,6 @@ type site =
       (** field [f] of the node at [path] from the frame node *)
   | SVar of string  (** local variable of the frame *)
 
-let pp_site ppf = function
-  | SField (p, f) -> Fmt.pf ppf "%a.%s" Ast.pp_lexpr p f
-  | SVar x -> Fmt.string ppf x
-
 type access = {
   reads : site list;
   writes : site list;

@@ -13,8 +13,6 @@ type site =
       (** field of the node at a path from the frame node *)
   | SVar of string  (** local variable of the frame *)
 
-val pp_site : Format.formatter -> site -> unit
-
 type access = {
   reads : site list;
   writes : site list;

@@ -36,17 +36,11 @@ let field_sym fname path f =
 
 let ghost_sym block_id k = Printf.sprintf "r:%d:%d" block_id k
 
-(* The join counter is function-local so that structurally identical
-   functions in different programs produce identical (normalizable) join
-   symbols — the bisimulation check compares path-condition atoms across
-   programs. *)
-let dls_join_counter : int ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref 0)
-
-let reset_join_counter () = Domain.DLS.get dls_join_counter := 0
-
-let join_sym fname x =
-  let counter = Domain.DLS.get dls_join_counter in
+(* Join symbols are numbered per function, from a counter local to the
+   function's walk, so that structurally identical functions in different
+   programs produce identical (normalizable) join symbols — the
+   bisimulation check compares path-condition atoms across programs. *)
+let join_sym counter fname x =
   incr counter;
   Printf.sprintf "j:%s:%s:%d" fname x !counter
 
@@ -77,14 +71,14 @@ let eval_aexpr fname st (e : Ast.aexpr) : Lin.t =
 
 (* Merge two states after branching control flow: bindings present and equal
    on both sides are kept; anything else becomes a fresh join symbol. *)
-let join fname (a : state) (b : state) : state =
+let join counter fname (a : state) (b : state) : state =
   let join_vars =
     SM.merge
       (fun x va vb ->
         match (va, vb) with
         | Some va, Some vb when Lin.equal va vb -> Some va
         | None, None -> None
-        | _ -> Some (Lin.var (join_sym fname x)))
+        | _ -> Some (Lin.var (join_sym counter fname x)))
       a.vars b.vars
   in
   let join_flds =
@@ -93,22 +87,18 @@ let join fname (a : state) (b : state) : state =
         match (va, vb) with
         | Some va, Some vb when Lin.equal va vb -> Some va
         | None, None -> None
-        | _ -> Some (Lin.var (join_sym fname ("fld_" ^ f))))
+        | _ -> Some (Lin.var (join_sym counter fname ("fld_" ^ f))))
       a.flds b.flds
   in
   { vars = join_vars; flds = join_flds }
 
 let analyze (info : Blocks.t) : t =
-  let ncond = Array.length info.conds in
-  let cond_sym = Array.make ncond (SNil []) in
+  let cond_sym = Array.make (Array.length info.conds) (SNil []) in
   let call_args = ref [] and ret_exprs = ref [] in
-  (* Mirror of Blocks.analyze's traversal: the same statement order yields
-     the same block and condition numbering. *)
-  let next_block = ref 0 and next_cond = ref 0 in
   List.iter
     (fun (f : Ast.func) ->
-      reset_join_counter ();
       let fname = f.fname in
+      let join = join (ref 0) fname in
       let init =
         {
           vars =
@@ -118,12 +108,10 @@ let analyze (info : Blocks.t) : t =
           flds = FM.empty;
         }
       in
-      let rec walk st (s : Ast.stmt) : state =
+      let rec walk st (s : Blocks.astmt) : state =
         match s with
-        | Ast.SBlock (_, b) ->
-          let id = !next_block in
-          incr next_block;
-          (match b with
+        | Blocks.ABlock id -> (
+          match (Blocks.block info id).block with
           | Ast.Call c ->
             let args = List.map (eval_aexpr fname st) c.args in
             call_args := (id, args) :: !call_args;
@@ -150,27 +138,25 @@ let analyze (info : Blocks.t) : t =
                     (id, List.map (eval_aexpr fname st) es) :: !ret_exprs;
                   st)
               st assigns)
-        | Ast.SIf (c, s1, s2) ->
-          let atom, _flipped = Blocks.strip_not c in
-          (match atom with
-          | Ast.IsNilB p | Ast.NotB (Ast.IsNilB p) ->
-            cond_sym.(!next_cond) <- SNil p;
-            incr next_cond
-          | Ast.Gt0 e ->
-            cond_sym.(!next_cond) <- SArith (eval_aexpr fname st e);
-            incr next_cond
-          | Ast.BTrue -> ()
-          | Ast.NotB _ -> assert false);
+        | Blocks.AIf (cid, _, s1, s2) ->
+          Option.iter
+            (fun cid ->
+              cond_sym.(cid) <-
+                (match (Blocks.cond info cid).cond with
+                | Ast.IsNilB p -> SNil p
+                | Ast.Gt0 e -> SArith (eval_aexpr fname st e)
+                | Ast.BTrue | Ast.NotB _ -> assert false))
+            cid;
           let st1 = walk st s1 in
           let st2 = walk st s2 in
-          join fname st1 st2
-        | Ast.SSeq (s1, s2) -> walk (walk st s1) s2
-        | Ast.SPar (s1, s2) ->
+          join st1 st2
+        | Blocks.ASeq (s1, s2) -> walk (walk st s1) s2
+        | Blocks.APar (s1, s2) ->
           let st1 = walk st s1 in
           let st2 = walk st s2 in
-          join fname st1 st2
+          join st1 st2
       in
-      ignore (walk init f.body))
+      ignore (walk init (Blocks.body_of info fname)))
     info.prog.funcs;
   { info; cond_sym; call_args = !call_args; ret_exprs = !ret_exprs }
 

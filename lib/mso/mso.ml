@@ -87,7 +87,6 @@ let iff a b =
   | b, False -> not_ b
   | _ -> Iff (a, b)
 
-let exists2_many xs f = List.fold_right (fun x acc -> Exists2 (x, acc)) xs f
 let exists1_many xs f = List.fold_right (fun x acc -> Exists1 (x, acc)) xs f
 let forall1_many xs f = List.fold_right (fun x acc -> Forall1 (x, acc)) xs f
 
@@ -112,39 +111,6 @@ let rec fv = function
     VSet.remove x (fv f)
 
 let free_vars f = VSet.elements (fv f)
-
-(* ------------------------------------------------------------------ *)
-(* Printing                                                            *)
-
-let rec pp ppf = function
-  | True -> Fmt.string ppf "true"
-  | False -> Fmt.string ppf "false"
-  | Sub (a, b) -> Fmt.pf ppf "%s sub %s" a b
-  | EqSet (a, b) -> Fmt.pf ppf "%s = %s" a b
-  | EmptySet a -> Fmt.pf ppf "empty(%s)" a
-  | Sing a -> Fmt.pf ppf "sing(%s)" a
-  | Mem (a, b) -> Fmt.pf ppf "%s in %s" a b
-  | EqPos (a, b) -> Fmt.pf ppf "%s = %s" a b
-  | LeftOf (a, b) -> Fmt.pf ppf "%s = left(%s)" b a
-  | RightOf (a, b) -> Fmt.pf ppf "%s = right(%s)" b a
-  | Root a -> Fmt.pf ppf "root(%s)" a
-  | IsNil a -> Fmt.pf ppf "isNil(%s)" a
-  | Reach (a, b) -> Fmt.pf ppf "reach(%s, %s)" a b
-  | AgreeAbove (z, strict, incl) ->
-    Fmt.pf ppf "agreeAbove(%s; %a; %a)" z
-      Fmt.(list ~sep:(any ",") (pair ~sep:(any "~") string string))
-      strict
-      Fmt.(list ~sep:(any ",") (pair ~sep:(any "~") string string))
-      incl
-  | Not f -> Fmt.pf ppf "~(%a)" pp f
-  | And fs -> Fmt.pf ppf "(@[%a@])" Fmt.(list ~sep:(any " &@ ") pp) fs
-  | Or fs -> Fmt.pf ppf "(@[%a@])" Fmt.(list ~sep:(any " |@ ") pp) fs
-  | Imp (a, b) -> Fmt.pf ppf "(%a => %a)" pp a pp b
-  | Iff (a, b) -> Fmt.pf ppf "(%a <=> %a)" pp a pp b
-  | Exists2 (x, f) -> Fmt.pf ppf "ex2 %s. %a" x pp f
-  | Forall2 (x, f) -> Fmt.pf ppf "all2 %s. %a" x pp f
-  | Exists1 (x, f) -> Fmt.pf ppf "ex1 %s. %a" x pp f
-  | Forall1 (x, f) -> Fmt.pf ppf "all1 %s. %a" x pp f
 
 (* ------------------------------------------------------------------ *)
 (* Atom automata.

@@ -58,8 +58,6 @@ val imp : formula -> formula -> formula
 
 val iff : formula -> formula -> formula
 
-val exists2_many : var list -> formula -> formula
-
 val forall1_many : var list -> formula -> formula
 
 val exists1_many : var list -> formula -> formula
@@ -108,5 +106,3 @@ val eval :
     variables to position sets (first-order variables must be mapped to
     singleton sets).  Exponential in quantifier depth; intended as a test
     oracle on small trees. *)
-
-val pp : Format.formatter -> formula -> unit

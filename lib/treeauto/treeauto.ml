@@ -228,8 +228,6 @@ let pp_op_stats ppf () =
   |> List.sort compare
   |> List.iter (fun (k, (t, n)) -> Fmt.pf ppf "%s: %.4fs over %d calls@." k t n)
 
-let reset_op_stats () = Hashtbl.reset (stats ())
-
 let detail2 a b r () =
   Printf.sprintf "%dx%d->%d" a.nstates b.nstates r.nstates
 

@@ -109,8 +109,6 @@ val tree_positions : tree -> (tree * int list) list
 val pp_op_stats : Format.formatter -> unit -> unit
 (** Cumulative time spent in each automaton operation. *)
 
-val reset_op_stats : unit -> unit
-
 (** {1 Construction observer}
 
     Hook for the self-validation layer: the observer is invoked on every

@@ -36,10 +36,6 @@ let ok r =
   List.for_all (fun c -> match c.status with Failed _ -> false | _ -> true)
     r.checks
 
-let failures r =
-  List.filter (fun c -> match c.status with Failed _ -> true | _ -> false)
-    r.checks
-
 let pp_status ppf = function
   | Passed -> Fmt.string ppf "passed"
   | Failed msg -> Fmt.pf ppf "FAILED: %s" msg
@@ -232,18 +228,8 @@ let main_args (info : Blocks.t) =
   | Some f -> List.map (fun _ -> 0) f.Ast.int_params
   | None -> []
 
-(* Common field names across the case studies; fields a program does not
-   read are simply inert. *)
-let field_names = [ "v"; "value"; "kind"; "prop"; "num"; "swapped" ]
-
 let small_heaps () =
-  let rng = Random.State.make [| 0x7e57 |] in
-  List.concat_map
-    (fun h ->
-      List.init 3 (fun _ ->
-          Heap.complete_tree ~height:h ~init:(fun _ ->
-              List.map (fun f -> (f, Random.State.int rng 12)) field_names)))
-    [ 1; 2; 3 ]
+  Heap.probe_trees ~seed:0x7e57 ~heights:[ 1; 2; 3 ] ~per_height:3
 
 (* Functions composed in parallel anywhere in the program, as pairs of
    callee names — the granularity the coarse baseline speaks. *)

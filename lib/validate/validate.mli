@@ -51,8 +51,6 @@ type report = {
 val ok : report -> bool
 (** No check failed (skipped checks do not fail a report). *)
 
-val failures : report -> check list
-
 val pp_report : Format.formatter -> report -> unit
 
 (** {1 Rendering}

@@ -258,8 +258,9 @@ let test_explore_errors_like_run () =
    Two digests per program, over the same trees: one of [Interp.run]'s
    events (with their configurations), returns, final heaps and runtime
    errors; one of [Explore.run_all]'s schedule counts and sorted
-   outcomes.  They were recorded before [Explore] ran [Interp]'s
-   evaluator, and pin that both still mean the same programs. *)
+   outcomes.  A change to what a program computes, to the recorded
+   configurations or to the explored schedules shows here; update a
+   digest only for an intended change of semantics. *)
 
 let pinned_trees () =
   let rng = Random.State.make [| 0xc4a7 |] in

@@ -17,30 +17,9 @@ let test_parse_running () =
   Alcotest.(check string) "loc param" "n" odd.loc_param;
   Alcotest.(check (list string)) "no int params" [] odd.int_params
 
-let test_roundtrip () =
-  List.iter
-    (fun (name, src) ->
-      let p1 = parse src in
-      let printed = Fmt.str "%a" Ast.pp_prog p1 in
-      let p2 =
-        try parse printed
-        with Parser.Error e ->
-          Alcotest.failf "%s: reparse failed: %s\n%s" name e printed
-      in
-      let b1 = Blocks.analyze p1 and b2 = Blocks.analyze p2 in
-      Alcotest.(check int)
-        (name ^ ": same block count")
-        (Blocks.nblocks b1) (Blocks.nblocks b2);
-      List.iter2
-        (fun (x : Blocks.block_info) (y : Blocks.block_info) ->
-          if not (Ast.equal_block x.block y.block) then
-            Alcotest.failf "%s: block %s changed by print/reparse" name x.label)
-        (Blocks.all_blocks b1) (Blocks.all_blocks b2))
-    Programs.all_named
-
 (* The canonical printer must round-trip every bundled program *exactly*
-   (labels included, unlike the block-level check above), and printing must
-   be idempotent: parse/print reaches a fixed point after one iteration. *)
+   (labels included), and printing must be idempotent: parse/print reaches
+   a fixed point after one iteration. *)
 let test_pretty_roundtrip () =
   List.iter
     (fun (name, src) ->
@@ -247,7 +226,6 @@ let () =
       ( "parse",
         [
           Alcotest.test_case "running example" `Quick test_parse_running;
-          Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "pretty roundtrip" `Quick test_pretty_roundtrip;
           Alcotest.test_case "errors" `Quick test_parse_errors;
         ] );
