@@ -57,18 +57,18 @@ type proc =
   | Par of proc * proc * (unit -> proc)
       (** two arms and the continuation once both finish *)
 
-(* Advance one atomic step.  [choose] is consulted whenever both arms of a
-   parallel node can step; [0] picks the left one. *)
+(* Advance a process that is not [Done] by one atomic step.  [choose] is
+   consulted whenever both arms of a parallel node can step; [0] picks
+   the left one. *)
 let rec step choose = function
-  | Done -> None
-  | Step f -> Some (f ())
-  | Par (Done, Done, k) -> Some (k ())
-  | Par (a, Done, k) -> Option.map (fun a' -> Par (a', Done, k)) (step choose a)
-  | Par (Done, b, k) -> Option.map (fun b' -> Par (Done, b', k)) (step choose b)
+  | Done -> Done
+  | Step f -> f ()
+  | Par (Done, Done, k) -> k ()
+  | Par (a, Done, k) -> Par (step choose a, Done, k)
+  | Par (Done, b, k) -> Par (Done, step choose b, k)
   | Par (a, b, k) ->
-    if choose () = 0 then
-      Option.map (fun a' -> Par (a', b, k)) (step choose a)
-    else Option.map (fun b' -> Par (a, b', k)) (step choose b)
+    if choose () = 0 then Par (step choose a, b, k)
+    else Par (a, step choose b, k)
 
 let run_scheduled ~record choose (info : Blocks.t) (heap : Heap.tree)
     (main_args : int list) : result =
@@ -204,7 +204,7 @@ let run_scheduled ~record choose (info : Blocks.t) (heap : Heap.tree)
     exec (Blocks.body_of info fname) (fun () -> k !returned)
   in
   let returns = ref [] in
-  let rec drive p = match step choose p with None -> () | Some p -> drive p in
+  let rec drive = function Done -> () | p -> drive (step choose p) in
   drive
     (exec_fun ~stack:[] ~call_id:(-1) ~caller:None ~lhs:[] "Main" heap []
        main_args (fun r ->

@@ -243,7 +243,9 @@ let test_explore_errors_like_run () =
     (* ill-formed on purpose: no well-formedness check *)
     let info = Blocks.analyze (Parser.parse_program src) in
     let base = Heap.leaf ~fields:[ ("v", 1) ] () in
-    let expected = error_of (fun () -> ignore (Interp.run info (Heap.copy base) args)) in
+    let expected =
+      error_of (fun () -> ignore (Interp.run info (Heap.copy base) args))
+    in
     Alcotest.(check bool) (name ^ ": run fails") true (expected <> "no error");
     Alcotest.(check string) name expected
       (error_of (fun () ->
