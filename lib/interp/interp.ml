@@ -244,21 +244,52 @@ let conflicting (e1 : event) (e2 : event) : loc list =
 type race = { race_e1 : event; race_e2 : event; race_loc : loc }
 
 (** All racy pairs in a trace: unordered iterations with a conflicting
-    access. *)
+    access, in the order of the pairs' indices.  Two iterations can
+    conflict only at a location both access and one of them writes, so
+    only such pairs are tested. *)
 let races (info : Blocks.t) (events : event list) : race list =
   let arr = Array.of_list events in
-  let out = ref [] in
-  let n = Array.length arr in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if unordered info arr.(i) arr.(j) then
-        match conflicting arr.(i) arr.(j) with
-        | [] -> ()
-        | l :: _ ->
-          out := { race_e1 = arr.(i); race_e2 = arr.(j); race_loc = l } :: !out
-    done
-  done;
-  List.rev !out
+  (* Every access as (location, iteration, writes), grouped by location. *)
+  let accesses =
+    Array.to_list arr
+    |> List.mapi (fun i e ->
+           List.map (fun l -> (l, i, false)) e.ev_reads
+           @ List.map (fun l -> (l, i, true)) e.ev_writes)
+    |> List.concat |> List.sort compare
+  in
+  (* [later.(i)]: the iterations after [i] that conflict with it somewhere. *)
+  let later = Array.make (Array.length arr) [] in
+  let rec pair_up = function
+    | [] -> ()
+    | (l, _, _) :: _ as accesses ->
+      let rec span here = function
+        | (l', i, w) :: rest when l' = l -> span ((i, w) :: here) rest
+        | rest -> (here, rest)
+      in
+      let here, rest = span [] accesses in
+      List.iter
+        (fun (i, wi) ->
+          List.iter
+            (fun (j, wj) ->
+              if i < j && (wi || wj) then later.(i) <- j :: later.(i))
+            here)
+        here;
+      pair_up rest
+  in
+  pair_up accesses;
+  List.concat
+    (List.mapi
+       (fun i e1 ->
+         List.filter_map
+           (fun j ->
+             let e2 = arr.(j) in
+             if unordered info e1 e2 then
+               match conflicting e1 e2 with
+               | [] -> None
+               | l :: _ -> Some { race_e1 = e1; race_e2 = e2; race_loc = l }
+             else None)
+           (List.sort_uniq Int.compare later.(i)))
+       events)
 
 (** Run two programs on copies of the same heap and compare final heaps and
     [Main]'s returned vector. *)
@@ -267,10 +298,3 @@ let equivalent_on (p1 : Blocks.t) (p2 : Blocks.t) (heap : Heap.tree)
   let h1 = Heap.copy heap and h2 = Heap.copy heap in
   let r1 = run p1 h1 args and r2 = run p2 h2 args in
   r1.returns = r2.returns && Heap.equal h1 h2
-
-let pp_event ppf (e : event) =
-  Fmt.pf ppf "(%d @ %a | reads %a | writes %a)" e.ev_block pp_path e.ev_path
-    Fmt.(list ~sep:(any ",") pp_loc)
-    e.ev_reads
-    Fmt.(list ~sep:(any ",") pp_loc)
-    e.ev_writes

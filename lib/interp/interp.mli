@@ -66,5 +66,3 @@ val races : Blocks.t -> event list -> race list
 val equivalent_on : Blocks.t -> Blocks.t -> Heap.tree -> int list -> bool
 (** Run two programs on copies of the same heap; [true] iff the final
     heaps and [Main]'s returned vectors agree. *)
-
-val pp_event : Format.formatter -> event -> unit

@@ -366,6 +366,52 @@ let test_characterization () =
   Alcotest.(check (list (triple string string string)))
     "run and explore digests" pinned_digests actual
 
+(* The definition of [Interp.races]: every pair of iterations, in index
+   order, that is unordered and conflicts, with the least conflicting
+   location.  [races] tests only pairs that share a location; it must
+   find the same races in the same order. *)
+let pairwise_races info events =
+  let arr = Array.of_list events in
+  let out = ref [] in
+  let n = Array.length arr in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if Interp.unordered info arr.(i) arr.(j) then
+        match Interp.conflicting arr.(i) arr.(j) with
+        | [] -> ()
+        | l :: _ ->
+          out :=
+            { Interp.race_e1 = arr.(i); race_e2 = arr.(j); race_loc = l }
+            :: !out
+    done
+  done;
+  List.rev !out
+
+let test_races_match_pairwise () =
+  let rng = Random.State.make [| 0x7ace |] in
+  let init _ =
+    List.map
+      (fun f -> (f, Random.State.int rng 12))
+      [ "v"; "value"; "kind"; "prop"; "num"; "swapped" ]
+  in
+  let trees =
+    List.map (fun h -> Heap.complete_tree ~height:h ~init) [ 2; 4 ]
+    @ List.init 4 (fun _ -> Heap.random ~init ~size:12 rng)
+  in
+  List.iter
+    (fun (name, src) ->
+      let info = info_of src in
+      List.iter
+        (fun tree ->
+          match Interp.run info (Heap.copy tree) (main_args info) with
+          | { Interp.events; _ } ->
+            if Interp.races info events <> pairwise_races info events then
+              Alcotest.failf "%s: races differ from the pairwise definition"
+                name
+          | exception Interp.Runtime_error _ -> ())
+        trees)
+    Programs.all_named
+
 let () =
   Alcotest.run "interp"
     [
@@ -386,6 +432,8 @@ let () =
           Alcotest.test_case "racy" `Quick test_racy_program;
           Alcotest.test_case "ordered" `Quick test_ordered_not_racy;
           Alcotest.test_case "cycletree" `Quick test_cycletree_oracle;
+          Alcotest.test_case "same as the pairwise definition" `Quick
+            test_races_match_pairwise;
         ] );
       ( "explore",
         [
