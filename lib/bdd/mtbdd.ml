@@ -160,6 +160,26 @@ let mapper f =
   in
   go
 
+let renamer f =
+  let st = st () in
+  let tbl = IdTbl.create 256 in
+  let rec go t =
+    match t with
+    | Leaf { value; _ } -> const_in st value
+    | Node { id = i; v; lo; hi } -> (
+      match IdTbl.find_opt tbl i with
+      | Some r -> r
+      | None ->
+        let lo = go lo and hi = go hi in
+        let v = f v in
+        if v >= level lo || v >= level hi then
+          invalid_arg "Mtbdd.renamer: the map is not increasing";
+        let r = mk st v lo hi in
+        IdTbl.add tbl i r;
+        r)
+  in
+  go
+
 let restricter v b =
   let st = st () in
   let tbl = IdTbl.create 64 in

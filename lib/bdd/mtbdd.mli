@@ -45,6 +45,13 @@ val mapper : (int -> int) -> t -> t
     mapper is in use.  Fresh nodes are allocated in the order of first
     visit, as by an unshared traversal of the same diagrams. *)
 
+val renamer : (var -> var) -> t -> t
+(** [renamer f] returns the diagram with each variable [v] replaced by
+    [f v], memoized like {!mapper}.  [f] must be strictly increasing on
+    the variables it meets, so the result is again ordered; a diagram of
+    another solver context is rebuilt in the current one.
+    @raise Invalid_argument if [f] breaks the variable order. *)
+
 val restricter : var -> bool -> t -> t
 (** [restricter v b] returns the cofactor at [v = b], memoized like
     {!mapper}. *)

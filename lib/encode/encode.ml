@@ -177,11 +177,12 @@ let label_env t nss : Mso.env =
 (* ------------------------------------------------------------------ *)
 (* Structural helpers                                                  *)
 
-(* Bound-variable names are deterministic (derived from the remaining
-   depth) rather than globally fresh: structurally identical subformulas
-   are then physically equal terms, which is what makes the compiler's
-   subformula cache effective across queries.  Shadowing is safe because
-   no subformula refers to two homonymous binders at once. *)
+(* Bound-variable names are derived from the remaining depth rather
+   than globally fresh.  The compiler's subformula cache does not depend
+   on it (its keys number bound variables by binder), but subformulas
+   built twice come out structurally equal, so a cache hit is confirmed
+   by one structural comparison.  Shadowing is safe because no
+   subformula refers to two homonymous binders at once. *)
 
 (** [path_rel u pi v]: v is the node reached from [u] along pointer path
     [pi]. *)

@@ -240,23 +240,94 @@ type kind = FO | SO
 
 type env = (var * kind) list
 
-(* Persistent subformula cache: queries within a session share compiled
-   automata (e.g. the same Configuration formula across many block-pair
-   queries).  Keyed by the formula, the track assignment of its free
-   variables, and the next free track.  The cache lives in the current
-   solver context: cached automata hold BDDs hash-consed in that context,
-   so sharing them across contexts (or domains) would break physical
-   equality.  The hash reads deep into the key: the polymorphic one stops
-   after 10 meaningful words, so formulas sharing a long prefix would
-   share a bucket and be told apart by structural comparison. *)
-module Cache = Hashtbl.Make (struct
-  type t = formula * (var * int) list * int
+(* The compile cache.
 
-  let equal = ( = )
-  let hash = Hashtbl.hash_param 256 256
+   The automaton of a subformula depends on its variables only through
+   the order of their tracks: a free variable reads its track, the bound
+   variable at binding depth d reads track [next + d] (above every free
+   track), and every kernel compares tracks only by their order.  So a
+   subformula is keyed by its canonical form, in which each free variable
+   is numbered by the rank of its track and each bound one by its
+   binder; neither [next] nor a concrete track is part of the key.  An
+   entry keeps one automaton per vector of free-variable tracks.  A new
+   vector is served by renaming a stored automaton through the strictly
+   increasing map between the two vectors ({!Treeauto.rename}), which
+   yields, node for node, the automaton a fresh compile would build.
+
+   The cache lives in the current solver context: cached automata hold
+   diagrams hash-consed in that context, so sharing them across contexts
+   (or domains) would break physical equality. *)
+
+(* A subformula with its free variables in track order: [names.(r)] has
+   the [r]-th smallest track. *)
+type key = { hash : int; f : formula; names : var array }
+
+(* The canonical number of an occurrence of [v] under the binders [bound]
+   (innermost first): -1 - (de Bruijn index) if bound, else its rank. *)
+let canonical names bound v =
+  let rec free r =
+    if String.equal names.(r) v then r else free (r + 1)
+  in
+  let rec go i = function
+    | [] -> free 0
+    | b :: rest -> if String.equal b v then -1 - i else go (i + 1) rest
+  in
+  go 0 bound
+
+(* Equality of canonical forms.  Two subformulas over the same free
+   variables that are equal as they stand are equal canonically; that is
+   the common case, and [compare] decides it in C, at once on physically
+   equal terms. *)
+let alpha_equal k1 k2 =
+  let n1 = k1.names and n2 = k2.names in
+  let rec eq b1 b2 f1 f2 =
+    let v a c = canonical n1 b1 a = canonical n2 b2 c in
+    let pairs = List.equal (fun (a, b) (c, d) -> v a c && v b d) in
+    match (f1, f2) with
+    | True, True | False, False -> true
+    | Sub (a, b), Sub (c, d)
+    | EqSet (a, b), EqSet (c, d)
+    | Mem (a, b), Mem (c, d)
+    | EqPos (a, b), EqPos (c, d)
+    | LeftOf (a, b), LeftOf (c, d)
+    | RightOf (a, b), RightOf (c, d)
+    | Reach (a, b), Reach (c, d) ->
+      v a c && v b d
+    | EmptySet a, EmptySet c | Sing a, Sing c | Root a, Root c
+    | IsNil a, IsNil c ->
+      v a c
+    | AgreeAbove (z, s, i), AgreeAbove (z', s', i') ->
+      v z z' && pairs s s' && pairs i i'
+    | Not g, Not h -> eq b1 b2 g h
+    | And gs, And hs | Or gs, Or hs -> List.equal (eq b1 b2) gs hs
+    | Imp (a, b), Imp (c, d) | Iff (a, b), Iff (c, d) ->
+      eq b1 b2 a c && eq b1 b2 b d
+    | Exists2 (x, g), Exists2 (y, h)
+    | Forall2 (x, g), Forall2 (y, h)
+    | Exists1 (x, g), Exists1 (y, h)
+    | Forall1 (x, g), Forall1 (y, h) ->
+      eq (x :: b1) (y :: b2) g h
+    | _ -> false
+  in
+  Array.length n1 = Array.length n2
+  && ((Array.for_all2 String.equal n1 n2 && compare k1.f k2.f = 0)
+     || eq [] [] k1.f k2.f)
+
+module Cache = Hashtbl.Make (struct
+  type t = key
+
+  let equal k1 k2 = k1.hash = k2.hash && alpha_equal k1 k2
+  let hash k = k.hash
 end)
 
-let cache_slot : Treeauto.t Cache.t Solver_ctx.Slot.slot =
+(* The automata of one class, each with the free-variable tracks it was
+   built for; [source] was compiled first and is the one renamed. *)
+type entry = {
+  source : int array * Treeauto.t;
+  mutable variants : (int array * Treeauto.t) list;
+}
+
+let cache_slot : entry Cache.t Solver_ctx.Slot.slot =
   Solver_ctx.Slot.create (fun () -> Cache.create 4096)
 
 let cache () = Solver_ctx.get_current cache_slot
@@ -264,6 +335,96 @@ let cache () = Solver_ctx.get_current cache_slot
 (* Armed fault campaigns poison pure caches, so compiled automata must not
    outlive an arm/disarm transition. *)
 let () = Faults.on_flush (fun () -> Cache.reset (cache ()))
+
+(* The track of [v] under [tenv]: its first binding is in effect.
+   [compile] builds the key of its formula before compiling anything, so
+   an undeclared free variable is reported from here. *)
+let track tenv v =
+  match List.assoc_opt v tenv with
+  | Some tr -> tr
+  | None ->
+    invalid_arg (Printf.sprintf "Mso.compile: free variable %s undeclared" v)
+
+(* The key of [f] under [tenv], and the tracks of its free variables in
+   ascending order, from one walk.  The hash reads the whole formula,
+   with each bound variable numbered by its de Bruijn index and each free
+   one by its first occurrence, and then the order of the free
+   variables' tracks: both numberings are alpha-invariant. *)
+let key_of tenv f =
+  let first = Hashtbl.create 16 and free = ref [] in
+  let h = ref 0 in
+  let mix x = h := (!h * 31) + x in
+  let rec index i v = function
+    | b :: rest -> if String.equal b v then -1 - i else index (i + 1) v rest
+    | [] -> (
+      match Hashtbl.find_opt first v with
+      | Some k -> k
+      | None ->
+        let k = Hashtbl.length first in
+        Hashtbl.add first v k;
+        free := (v, track tenv v) :: !free;
+        k)
+  in
+  let var bound v = mix (index 0 v bound) in
+  let rec pairs bound = function
+    | [] -> mix 0
+    | (a, b) :: rest ->
+      var bound a;
+      var bound b;
+      pairs bound rest
+  in
+  let rec walk bound f =
+    match f with
+    | True -> mix 1
+    | False -> mix 2
+    | Sub (a, b) -> mix 3; var bound a; var bound b
+    | EqSet (a, b) -> mix 4; var bound a; var bound b
+    | EmptySet a -> mix 5; var bound a
+    | Sing a -> mix 6; var bound a
+    | Mem (a, b) -> mix 7; var bound a; var bound b
+    | EqPos (a, b) -> mix 8; var bound a; var bound b
+    | LeftOf (a, b) -> mix 9; var bound a; var bound b
+    | RightOf (a, b) -> mix 10; var bound a; var bound b
+    | Root a -> mix 11; var bound a
+    | IsNil a -> mix 12; var bound a
+    | Reach (a, b) -> mix 13; var bound a; var bound b
+    | AgreeAbove (z, strict, incl) ->
+      mix 14; var bound z; pairs bound strict; pairs bound incl
+    | Not g -> mix 15; walk bound g
+    | And gs -> mix 16; walk_list bound gs
+    | Or gs -> mix 17; walk_list bound gs
+    | Imp (a, b) -> mix 18; walk bound a; walk bound b
+    | Iff (a, b) -> mix 19; walk bound a; walk bound b
+    | Exists2 (x, g) -> mix 20; walk (x :: bound) g
+    | Forall2 (x, g) -> mix 21; walk (x :: bound) g
+    | Exists1 (x, g) -> mix 22; walk (x :: bound) g
+    | Forall1 (x, g) -> mix 23; walk (x :: bound) g
+  and walk_list bound = function
+    | [] -> mix 0
+    | g :: gs ->
+      walk bound g;
+      walk_list bound gs
+  in
+  walk [] f;
+  let free = Array.of_list (List.rev !free) in
+  let by_rank = Array.init (Array.length free) Fun.id in
+  Array.sort (fun k k' -> Int.compare (snd free.(k)) (snd free.(k'))) by_rank;
+  Array.iter mix by_rank;
+  let free = Array.map (fun k -> free.(k)) by_rank in
+  ({ hash = Hashtbl.hash !h; f; names = Array.map fst free }, Array.map snd free)
+
+(* Under an armed [mso.projection_shift] a compiled automaton can read a
+   track outside its free variables; such an automaton is not renamed. *)
+exception Foreign_track
+
+(* The map from the tracks [src] to [dst], both ascending. *)
+let track_map src dst v =
+  let rec find i =
+    if i = Array.length src then raise Foreign_track
+    else if src.(i) = v then dst.(i)
+    else find (i + 1)
+  in
+  find 0
 
 (* Fault site: quantify the wrong track — a classic off-by-one in the
    de Bruijn-style track allocation.  The shift is downward (an enclosing
@@ -283,28 +444,31 @@ let project_bound next a =
    variables ([next] is the first free track, used for bound variables). *)
 let rec compile_sub tenv next f =
   let cache = cache () in
-  let key_env =
-    (* only the free variables matter for caching *)
-    let fvs = fv f in
-    List.filter (fun (v, _) -> VSet.mem v fvs) tenv
-    |> List.sort compare
-  in
-  let key = (f, key_env, next) in
-  match Cache.find_opt cache key with
-  | Some a -> a
-  | None ->
+  let key, tracks = key_of tenv f in
+  let compiled () =
     Engine.tick ();
-    let a = comp_raw tenv next f in
-    Cache.add cache key a;
+    comp_raw tenv next f
+  in
+  match Cache.find_opt cache key with
+  | None ->
+    let a = compiled () in
+    Cache.add cache key { source = (tracks, a); variants = [ (tracks, a) ] };
     a
+  | Some entry -> (
+    match List.assoc_opt tracks entry.variants with
+    | Some a -> a
+    | None ->
+      let src, a = entry.source in
+      let a =
+        try Treeauto.rename (track_map src tracks) a
+        with Foreign_track -> compiled ()
+      in
+      entry.variants <- (tracks, a) :: entry.variants;
+      a)
 
 and comp_raw tenv next f =
   let comp = compile_sub in
-  let t v =
-    match List.assoc_opt v tenv with
-    | Some tr -> tr
-    | None -> invalid_arg (Printf.sprintf "Mso.compile: unbound variable %s" v)
-  in
+  let t = track tenv in
     match f with
     | True -> Treeauto.const true
     | False -> Treeauto.const false
@@ -384,20 +548,15 @@ and comp_raw tenv next f =
 let compile env formula =
   let tenv = List.mapi (fun i (v, _) -> (v, i)) env in
   let next = List.length env in
-
-  let fvs = fv formula in
-  VSet.iter
-    (fun v ->
-      if not (List.mem_assoc v tenv) then
-        invalid_arg (Printf.sprintf "Mso.compile: free variable %s undeclared" v))
-    fvs;
-  let base = compile_sub tenv next formula in
-  (* Enforce singleton-ness of the declared first-order free variables. *)
-  let sing_constraints =
-    List.mapi (fun i (_, k) -> (i, k)) env
-    |> List.filter_map (fun (i, k) -> if k = FO then Some (auto_sing i) else None)
+  (* Enforce singleton-ness of the declared first-order free variables.
+     The conjunction is built raw, not through [and_l], so it is the
+     intersection of the formula's automaton with the singleton ones, and
+     it is cached like any subformula: solving the same formula again
+     costs a lookup. *)
+  let sings =
+    List.filter_map (fun (v, k) -> if k = FO then Some (Sing v) else None) env
   in
-  Treeauto.inter_list (base :: sing_constraints)
+  compile_sub tenv next (And (formula :: sings))
 
 (* ------------------------------------------------------------------ *)
 (* Solving                                                             *)

@@ -30,11 +30,12 @@ let site_swap_final =
     ~descr:"flip an acceptance bit of a constructed automaton" ()
 
 (* Observer invoked on every constructed automaton, tagged with the
-   operation that produced it ("explore", "minimize", "project").  The
-   validation layer installs structural checkers here; the default is a
-   no-op so the production path pays one DLS read per construction.  The
-   observer is domain-local: a validation layer observing on one domain
-   never slows down (or races with) queries running on another. *)
+   operation that produced it ("explore", "minimize", "project",
+   "rename").  The validation layer installs structural checkers here;
+   the default is a no-op so the production path pays one DLS read per
+   construction.  The observer is domain-local: a validation layer
+   observing on one domain never slows down (or races with) queries
+   running on another. *)
 let dls_observer : (string -> t -> unit) ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref (fun _ _ -> ()))
 
@@ -476,6 +477,20 @@ let project v a =
   let accept c = List.exists (fun q -> a.accept.(q)) (set_of c) in
   let result = explore ~leaf ~delta ~accept in
   observed "project" (minimize result)
+
+(* ------------------------------------------------------------------ *)
+(* Track renaming                                                       *)
+
+(* Every kernel above compares tracks only by their order, so renaming
+   the tracks of an automaton by a strictly increasing map gives, node
+   for node, the automaton the same construction builds over the renamed
+   tracks. *)
+let rename f a =
+  observed "rename" @@ timed "rename"
+  @@ fun () ->
+  let r = Mtbdd.renamer f in
+  let leaf = r a.leaf in
+  { a with leaf; delta = Array.map (Array.map r) a.delta }
 
 (* ------------------------------------------------------------------ *)
 (* Decision procedures                                                  *)

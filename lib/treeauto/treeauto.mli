@@ -67,6 +67,14 @@ val project : int -> t -> t
     [track] is accepted by [a] — the automaton for [∃X.φ].  Implemented by
     track erasure followed by on-the-fly subset construction. *)
 
+val rename : (int -> int) -> t -> t
+(** [rename f a] reads track [f v] wherever [a] reads track [v]; states,
+    numbering and acceptance are kept.  [f] must be strictly increasing
+    on the tracks [a] reads.  Every construction of this module compares
+    tracks only by their order, so the result is, node for node, the
+    automaton the same construction builds over the renamed tracks.
+    @raise Invalid_argument if [f] breaks the track order. *)
+
 (** {1 State-space reduction} *)
 
 val minimize : t -> t
@@ -112,10 +120,10 @@ val pp_op_stats : Format.formatter -> unit -> unit
 (** {1 Construction observer}
 
     Hook for the self-validation layer: the observer is invoked on every
-    automaton produced by {!make}, boolean combinations, {!minimize} and
-    {!project}, with a stage tag ("explore", "minimize" or "project").
-    The default is a no-op costing one ref read per construction; observers
-    must not raise. *)
+    automaton produced by {!make}, boolean combinations, {!minimize},
+    {!project} and {!rename}, with a stage tag ("explore", "minimize",
+    "project" or "rename").  The default is a no-op costing one ref read
+    per construction; observers must not raise. *)
 
 val set_observer : (string -> t -> unit) -> unit
 

@@ -122,6 +122,103 @@ let prop_models_satisfy =
       | Some { tree; assignment } -> eval tree assignment f
       | None -> true)
 
+(* --- compile cache: alpha-equivalent subformulas share one compile --- *)
+
+(* [g] with X and Y, and x and y, exchanged: conjoined with [g], it
+   makes one compile meet alpha-equivalent subformulas over other
+   tracks. *)
+let rec swap = function
+  | Sub (a, b) -> Sub (sw a, sw b)
+  | EqSet (a, b) -> EqSet (sw a, sw b)
+  | EmptySet a -> EmptySet (sw a)
+  | Sing a -> Sing (sw a)
+  | Mem (a, b) -> Mem (sw a, sw b)
+  | EqPos (a, b) -> EqPos (sw a, sw b)
+  | LeftOf (a, b) -> LeftOf (sw a, sw b)
+  | RightOf (a, b) -> RightOf (sw a, sw b)
+  | Root a -> Root (sw a)
+  | IsNil a -> IsNil (sw a)
+  | Reach (a, b) -> Reach (sw a, sw b)
+  | AgreeAbove (z, s, i) ->
+    let ps = List.map (fun (a, b) -> (sw a, sw b)) in
+    AgreeAbove (sw z, ps s, ps i)
+  | (True | False) as f -> f
+  | Not f -> Not (swap f)
+  | And fs -> And (List.map swap fs)
+  | Or fs -> Or (List.map swap fs)
+  | Imp (a, b) -> Imp (swap a, swap b)
+  | Iff (a, b) -> Iff (swap a, swap b)
+  | Exists2 (x, f) -> Exists2 (x, swap f)
+  | Forall2 (x, f) -> Forall2 (x, swap f)
+  | Exists1 (x, f) -> Exists1 (x, swap f)
+  | Forall1 (x, f) -> Forall1 (x, swap f)
+
+and sw = function "X" -> "Y" | "Y" -> "X" | "x" -> "y" | "y" -> "x" | v -> v
+
+(* [env] spread over more tracks: [pads.(i)] unused second-order
+   variables before the i-th variable (and after the last), so the
+   variables keep their order but not their tracks, and [next] moves. *)
+let spread pads =
+  let pad i = List.init pads.(i) (fun k -> (Printf.sprintf "P%d_%d" i k, SO)) in
+  List.concat (List.mapi (fun i d -> pad i @ [ d ]) env) @ pad 4
+
+let equivariance_gen =
+  QCheck2.Gen.(
+    let* g = formula_gen in
+    let* f = oneofl [ g; And [ g; swap g ] ] in
+    let* pads = array_size (return 5) (int_bound 2) in
+    let moved = Array.exists (( <> ) 0) pads in
+    return (f, if moved then pads else [| 1; 0; 0; 0; 0 |]))
+
+let print_case (f, pads) =
+  Fmt.str "%a with pads %a" Mona.pp_formula f Fmt.(Dump.array int) pads
+
+(* Compiled on fresh contexts, the formula under the spread environment
+   is, node for node, the renaming of its compile under [env]: the track
+   order alone decides every construction, so the cache may serve one
+   from the other.  Both MTBDD stores stay ordered, which a rename
+   through a map that is not increasing would break. *)
+let prop_compile_equivariant =
+  QCheck2.Test.make ~name:"compile commutes with monotone track renaming"
+    ~count:300 ~print:print_case equivariance_gen (fun (f, pads) ->
+      let env' = spread pads in
+      let ordered () = Mtbdd.check_integrity () = Ok () in
+      let a, a_ordered =
+        Solver_ctx.with_fresh (fun () ->
+            let a = compile env f in
+            (a, ordered ()))
+      in
+      let track v =
+        let rec go i = function
+          | (w, _) :: rest -> if w = v then i else go (i + 1) rest
+          | [] -> assert false
+        in
+        go 0 env'
+      in
+      let to_env' = Array.of_list (List.map (fun (v, _) -> track v) env) in
+      Solver_ctx.with_fresh (fun () ->
+          let b = compile env' f in
+          let r = Treeauto.rename (fun t -> to_env'.(t)) a in
+          a_ordered && ordered ()
+          && b.nstates = r.nstates && b.accept = r.accept
+          && Mtbdd.equal b.leaf r.leaf
+          && Array.for_all2 (Array.for_all2 Mtbdd.equal) b.delta r.delta))
+
+(* Under an armed mso.projection_shift, the quantifier of [∃q. x ≤ q]
+   erases x's track instead of q's, so the compiled automaton reads a
+   track that is not one of its free variables'.  The alpha-equivalent
+   request over another track must compile afresh instead of renaming
+   it (the fault then fires a second time). *)
+let test_projection_shift_compiles () =
+  let site = "mso.projection_shift" in
+  let f v = Exists1 ("q", Reach (v, "q")) in
+  Solver_ctx.with_fresh (fun () ->
+      Faults.arm ~period:1 ~site ~seed:1 ();
+      Fun.protect ~finally:Faults.disarm (fun () ->
+          ignore (compile [ ("x", SO) ] (f "x"));
+          ignore (compile [ ("Z", SO); ("y", SO) ] (f "y"));
+          Alcotest.(check int) "both compiled" 2 (Faults.fired_count ~site)))
+
 (* --- validities --- *)
 
 let fo_env vars : env = List.map (fun v -> (v, FO)) vars
@@ -173,6 +270,17 @@ let test_satisfiability () =
     (and_l
        [ Reach ("x", "y"); Reach ("y", "x"); not_ (EqPos ("x", "y")) ])
     (fo_env [ "x"; "y" ])
+
+(* An undeclared free variable is refused before anything is compiled,
+   also inside a quantifier and under a shadowed name. *)
+let test_undeclared () =
+  let refused v f =
+    let msg = Printf.sprintf "Mso.compile: free variable %s undeclared" v in
+    Alcotest.check_raises ("undeclared " ^ v) (Invalid_argument msg)
+      (fun () -> ignore (satisfiable [ ("x", FO) ] f))
+  in
+  refused "y" (Reach ("x", "y"));
+  refused "Y" (Exists1 ("x", Mem ("x", "Y")))
 
 let test_witness_decoding () =
   (* X = set of nil positions, plus force at least one internal node: the
@@ -300,7 +408,14 @@ let () =
           Alcotest.test_case "validities" `Quick test_validities;
           Alcotest.test_case "satisfiability" `Quick test_satisfiability;
           Alcotest.test_case "witness decoding" `Quick test_witness_decoding;
+          Alcotest.test_case "undeclared variable" `Quick test_undeclared;
           Alcotest.test_case "isnil axiom" `Quick test_paper_isnil_axiom;
           Alcotest.test_case "smart constructors" `Quick test_smart_constructors;
+        ] );
+      ( "compile cache",
+        [
+          qt prop_compile_equivariant;
+          Alcotest.test_case "foreign track under projection_shift compiles"
+            `Quick test_projection_shift_compiles;
         ] );
     ]

@@ -135,7 +135,7 @@ let test_swap_final_wrong () =
         (race ~level:Validate.Full ~timeout:15. (racy ())))
 
 let test_projection_shift_wrong () =
-  with_fault ~site:"mso.projection_shift" ~seed:3 (fun () ->
+  with_fault ~site:"mso.projection_shift" ~seed:1 (fun () ->
       match
         fst
           (equiv ~level:Validate.Off ~timeout:30. (mut_seq ()) (mut_fused ())
@@ -144,8 +144,8 @@ let test_projection_shift_wrong () =
       | Analysis.Not_equivalent _ -> ()
       | _ ->
         Alcotest.fail
-          "mso.projection_shift:3 no longer flips the fusion verdict");
-  caught_at_full ~site:"mso.projection_shift" ~seed:3 ~verdict:"NOT equivalent"
+          "mso.projection_shift:1 no longer flips the fusion verdict");
+  caught_at_full ~site:"mso.projection_shift" ~seed:1 ~verdict:"NOT equivalent"
     (fun () ->
       Validate.render Analysis.render_equiv
         (equiv ~level:Validate.Full ~timeout:30. (mut_seq ()) (mut_fused ())
