@@ -179,7 +179,7 @@ let print_case (f, pads) =
    from the other.  Both MTBDD stores stay ordered, which a rename
    through a map that is not increasing would break. *)
 let prop_compile_equivariant =
-  QCheck2.Test.make ~name:"compile commutes with monotone track renaming"
+  QCheck2.Test.make ~name:"compile commutes with monotone renaming"
     ~count:300 ~print:print_case equivariance_gen (fun (f, pads) ->
       let env' = spread pads in
       let ordered () = Mtbdd.check_integrity () = Ok () in
@@ -412,10 +412,10 @@ let () =
           Alcotest.test_case "isnil axiom" `Quick test_paper_isnil_axiom;
           Alcotest.test_case "smart constructors" `Quick test_smart_constructors;
         ] );
-      ( "compile cache",
+      ( "cache",
         [
           qt prop_compile_equivariant;
-          Alcotest.test_case "foreign track under projection_shift compiles"
-            `Quick test_projection_shift_compiles;
+          Alcotest.test_case "foreign track under projection_shift" `Quick
+            test_projection_shift_compiles;
         ] );
     ]
