@@ -39,10 +39,6 @@ let time f =
 (* ------------------------------------------------------------------ *)
 (* Table 1: the seven verification queries                              *)
 
-type query =
-  | Race of string  (** program source *)
-  | Equiv of string * string * Analysis.block_map
-
 (* [Fast] rows must reach their verdict within --smoke's 60 s.  [Heavy]
    rows get 10 s there and may return Unknown.  E6, the paper's own
    outlier, is [Heavy] under --smoke too, and the paper table runs it
@@ -50,56 +46,11 @@ type query =
    an Unknown row instead of hanging the harness. *)
 type cost = Fast | Heavy | Outlier
 
-type row = {
-  id : string;
-  study : string;
-  query : string;
-  paper_result : string;
-  paper_time : string;
-  check : query;
-  expect : int;  (** exit code of the seed verdict: 0 proof, 1 refutation *)
-  cost : cost;
-}
+let cost (row : Programs.row) =
+  match row.id with "E5" -> Heavy | "E6" -> Outlier | _ -> Fast
 
-let table1_rows =
-  let open Programs in
-  [
-    { id = "E1"; study = "size-counting"; query = "fuse Odd;Even (Fig. 6a)";
-      paper_result = "valid"; paper_time = "0.14s";
-      check = Equiv (size_counting_seq, size_counting_fused, size_counting_map);
-      expect = 0; cost = Fast };
-    { id = "E2"; study = "size-counting"; query = "invalid fusion (Fig. 6b)";
-      paper_result = "counterexample"; paper_time = "0.14s";
-      check =
-        Equiv
-          (size_counting_seq, size_counting_fused_invalid, size_counting_map);
-      expect = 1; cost = Fast };
-    { id = "E3"; study = "size-counting"; query = "Odd(n) || Even(n) races?";
-      paper_result = "race-free"; paper_time = "0.02s";
-      check = Race size_counting; expect = 0; cost = Fast };
-    { id = "E4"; study = "tree-mutation";
-      query = "fuse Swap;IncrmLeft (Fig. 7)";
-      paper_result = "valid"; paper_time = "0.12s";
-      check =
-        Equiv (tree_mutation_seq, tree_mutation_fused, tree_mutation_map);
-      expect = 0; cost = Fast };
-    { id = "E5"; study = "css-minification"; query = "fuse 3 passes (Fig. 8)";
-      paper_result = "valid"; paper_time = "6.88s";
-      check =
-        Equiv
-          (css_minification_seq, css_minification_fused, css_minification_map);
-      expect = 0; cost = Heavy };
-    { id = "E6"; study = "cycletree"; query = "fuse numbering;routing (Fig. 9)";
-      paper_result = "valid"; paper_time = "490.55s";
-      check = Equiv (cycletree_seq, cycletree_fused, cycletree_map);
-      expect = 0; cost = Outlier };
-    { id = "E7"; study = "cycletree"; query = "numbering || routing races?";
-      paper_result = "counterexample"; paper_time = "0.95s";
-      check = Race cycletree_par; expect = 1; cost = Fast };
-  ]
-
-let run_row ~level ~budget row =
-  match row.check with
+let run_row ~level ~budget (row : Programs.row) =
+  match row.query with
   | Race p ->
     let r, report = Validate.check_data_race ~level ~budget (Programs.load p) in
     (Validate.render Analysis.render_race (r, report), report)
@@ -133,9 +84,9 @@ let table1 () =
   let failures = ref 0 and total_query = ref 0. and total_validation = ref 0. in
   let summary =
     List.filter_map
-      (fun row ->
+      (fun (row : Programs.row) ->
         let budget =
-          match (row.cost, smoke) with
+          match (cost row, smoke) with
           | Fast, true -> Some (Engine.budget ~timeout:60. ())
           | (Heavy | Outlier), true -> Some (Engine.budget ~timeout:10. ())
           | (Fast | Heavy), false -> Some Engine.unlimited
@@ -146,7 +97,7 @@ let table1 () =
         | None ->
           Fmt.pr "  [%s] %s / %s: skipped (pass --full; the paper itself \
                   needed %s)@."
-            row.id row.study row.query row.paper_time;
+            row.id row.study row.title row.paper_time;
           None
         | Some budget ->
           let (text, code), report = run_row ~level ~budget row in
@@ -156,7 +107,7 @@ let table1 () =
             !total_validation +. report.Validate.validation_time;
           let status =
             if code = row.expect then "ok"
-            else if code = 3 && row.cost <> Fast then
+            else if code = 3 && cost row <> Fast then
               "acceptable under the budget"
             else begin
               incr failures;
@@ -174,9 +125,9 @@ let table1 () =
           Format.pp_print_flush Fmt.stdout ();
           Some
             (Fmt.str "  %-4s %-18s %-34s %-16s %-10s %-44s %8.2fs %s" row.id
-               row.study row.query row.paper_result row.paper_time text dt
+               row.study row.title row.paper_result row.paper_time text dt
                (if replay_confirmed report then "replay-confirmed" else "")))
-      table1_rows
+      Programs.table1
   in
   if !total_query > 0. then
     Fmt.pr "@.%s: total validation overhead %.0f%% of query wall-clock \

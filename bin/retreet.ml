@@ -645,15 +645,20 @@ let run_cmd =
     setup_logs verbose;
     let info = load_source file in
     let heap = build_tree tree in
-    let { Interp.returns; events } = Interp.run info heap args in
-    Fmt.pr "returned: %a@." Fmt.(Dump.list int) returns;
-    Fmt.pr "%d iterations@." (List.length events);
-    Fmt.pr "final heap: %a@." Heap.pp heap;
-    let races = Interp.races info events in
-    if races <> [] then
-      Fmt.pr "dynamic races observed: %d (first on %a)@." (List.length races)
-        Interp.pp_loc (List.hd races).race_loc;
-    0
+    match Interp.run info heap args with
+    | exception Interp.Runtime_error msg ->
+      (* e.g. --args of the wrong arity: a usage error, like a bad --tree *)
+      Fmt.epr "runtime error: %s@." msg;
+      2
+    | { Interp.returns; events } ->
+      Fmt.pr "returned: %a@." Fmt.(Dump.list int) returns;
+      Fmt.pr "%d iterations@." (List.length events);
+      Fmt.pr "final heap: %a@." Heap.pp heap;
+      let races = Interp.races info events in
+      if races <> [] then
+        Fmt.pr "dynamic races observed: %d (first on %a)@."
+          (List.length races) Interp.pp_loc (List.hd races).race_loc;
+      0
   in
   Cmd.v
     (Cmd.info "run" ~exits ~doc:"Interpret a program on a concrete tree.")
@@ -791,9 +796,17 @@ let baseline_cmd =
   let run verbose file a b =
     setup_logs verbose;
     let info = load_source file in
-    Fmt.pr "coarse baseline: fuse %s and %s: %a@." a b Baseline.pp_verdict
-      (Baseline.can_fuse info.prog a b);
-    0
+    let unknown f = Ast.find_func info.prog f = None in
+    match List.find_opt unknown [ a; b ] with
+    | Some f ->
+      Fmt.epr "unknown traversal %s; the program's functions: %s@." f
+        (String.concat ", "
+           (List.map (fun (fn : Ast.func) -> fn.fname) info.prog.funcs));
+      2
+    | None ->
+      Fmt.pr "coarse baseline: fuse %s and %s: %a@." a b Baseline.pp_verdict
+        (Baseline.can_fuse info.prog a b);
+      0
   in
   Cmd.v
     (Cmd.info "baseline" ~exits

@@ -90,19 +90,6 @@ type bisim_result =
       (** a witness relation over call blocks (union over all simulations) *)
   | Not_bisimilar of string  (** human-readable reason *)
 
-val sim_dir :
-  Blocks.t ->
-  Blocks.t ->
-  Symexec.t ->
-  Symexec.t ->
-  int ->
-  int list ->
-  (int * int) list option
-(** [sim_dir pa pb syma symb qa qbs]: one-directional simulation — every
-    configuration of [pa] ending at block [qa] converts to a configuration
-    of [pb] ending at one of [qbs] over the same nodes.  Returns the
-    greatest witness relation over call blocks, or [None]. *)
-
 val check_bisimulation :
   Blocks.t -> Blocks.t -> map:block_map -> bisim_result
 (** Check Definition 3 in both directions for every mapped block. *)

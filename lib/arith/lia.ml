@@ -8,7 +8,6 @@ type conj = atom list
 let ge0 e = e
 let gt0 e = Lin.sub e (Lin.of_int 1)
 let le0 e = Lin.neg e
-let eq0 e = [ ge0 e; le0 e ]
 let neg_atom e = Lin.sub (Lin.neg e) (Lin.of_int 1)
 
 let pp_atom ppf e = Fmt.pf ppf "%a >= 0" Lin.pp e
@@ -130,7 +129,6 @@ let sat conj =
         m "Omega test inconclusive on %a; answering sat" pp_conj conj);
     true
 
-let sat_dnf disj = List.exists sat disj
 let implies hyp a = not (sat (neg_atom a :: hyp))
 let implies_conj hyp concl = List.for_all (implies hyp) concl
 let equiv c1 c2 = implies_conj c1 c2 && implies_conj c2 c1

@@ -28,9 +28,6 @@ val gt0 : Lin.t -> atom
 
 val le0 : Lin.t -> atom
 
-val eq0 : Lin.t -> conj
-(** [e = 0] as two atoms. *)
-
 val neg_atom : atom -> atom
 (** Integer-exact negation: [not (e >= 0)] = [-e - 1 >= 0]. *)
 
@@ -38,17 +35,8 @@ val sat : conj -> bool
 (** Integer satisfiability of the conjunction; [false] is a proof,
     [true] may also mean undecided. *)
 
-val sat_dnf : conj list -> bool
-(** Satisfiability of a disjunction of conjunctions. *)
-
 val implies : conj -> atom -> bool
 (** [implies hyp a]: does [hyp] entail [a] over the integers? *)
 
-val implies_conj : conj -> conj -> bool
-
 val equiv : conj -> conj -> bool
 (** Mutual entailment. *)
-
-val pp_atom : Format.formatter -> atom -> unit
-
-val pp_conj : Format.formatter -> conj -> unit

@@ -53,10 +53,6 @@ let eval rho e =
 let is_const e = M.is_empty e.coeffs
 let equal a b = M.equal Rat.equal a.coeffs b.coeffs && Rat.equal a.cst b.cst
 
-let compare a b =
-  let c = Rat.compare a.cst b.cst in
-  if c <> 0 then c else M.compare Rat.compare a.coeffs b.coeffs
-
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 let lcm a b = if a = 0 || b = 0 then 0 else abs (a * b) / gcd (abs a) (abs b)
 

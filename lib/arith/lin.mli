@@ -5,15 +5,10 @@ type t
 
 val zero : t
 
-val const : Rat.t -> t
-
 val of_int : int -> t
 
 val var : string -> t
 (** The expression [1 * x]. *)
-
-val term : Rat.t -> string -> t
-(** [term c x] is [c * x]. *)
 
 val add : t -> t -> t
 
@@ -43,8 +38,6 @@ val eval : (string -> Rat.t) -> t -> Rat.t
 val is_const : t -> bool
 
 val equal : t -> t -> bool
-
-val compare : t -> t -> int
 
 val scale_to_int_coeffs : t -> t
 (** Multiply by the positive lcm of coefficient denominators so every

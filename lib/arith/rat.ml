@@ -22,25 +22,14 @@ let div a b =
   if b.num = 0 then raise Division_by_zero;
   make (a.num * b.den) (a.den * b.num)
 
-let neg a = { a with num = -a.num }
-let abs a = { a with num = Stdlib.abs a.num }
-
-let inv a =
-  if a.num = 0 then raise Division_by_zero;
-  make a.den a.num
-
 let compare a b = Int.compare (a.num * b.den) (b.num * a.den)
 let equal a b = a.num = b.num && a.den = b.den
 let sign a = Int.compare a.num 0
-let is_integer a = a.den = 1
 
 let floor a =
   if a.num >= 0 then a.num / a.den
   else -(((-a.num) + a.den - 1) / a.den)
 
-let ceil a = -floor (neg a)
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 let to_float a = float_of_int a.num /. float_of_int a.den
 
 let pp ppf a =

@@ -27,12 +27,6 @@ val mul : t -> t -> t
 val div : t -> t -> t
 (** @raise Division_by_zero on a zero divisor. *)
 
-val neg : t -> t
-
-val abs : t -> t
-
-val inv : t -> t
-
 val compare : t -> t -> int
 
 val equal : t -> t -> bool
@@ -40,15 +34,7 @@ val equal : t -> t -> bool
 val sign : t -> int
 (** [-1], [0] or [1]. *)
 
-val is_integer : t -> bool
-
 val floor : t -> int
-
-val ceil : t -> int
-
-val min : t -> t -> t
-
-val max : t -> t -> t
 
 val to_float : t -> float
 

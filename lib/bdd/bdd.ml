@@ -199,8 +199,6 @@ let restrict t v b =
   in
   go t
 
-let exists v t = disj (restrict t v false) (restrict t v true)
-
 let rec eval rho t =
   match t with
   | False -> false
@@ -223,39 +221,6 @@ let support t =
   in
   go t;
   List.sort Int.compare !vars
-
-let any_sat t =
-  let rec go acc = function
-    | False -> None
-    | True -> Some (List.rev acc)
-    | Node { v; lo; hi; _ } -> (
-      match go ((v, true) :: acc) hi with
-      | Some _ as r -> r
-      | None -> go ((v, false) :: acc) lo)
-  in
-  go [] t
-
-let sat_count ~nvars t =
-  (* Count via the standard weighted traversal: a node at level [v] whose
-     child sits at level [w] hides [w - v - 1] free variables. *)
-  let memo = Hashtbl.create 64 in
-  let level = function False | True -> nvars | Node { v; _ } -> v in
-  let rec count t =
-    match t with
-    | False -> 0.
-    | True -> 1.
-    | Node { id; v; lo; hi } -> (
-      match Hashtbl.find_opt memo id with
-      | Some c -> c
-      | None ->
-        let scale child =
-          count child *. (2. ** float_of_int (level child - v - 1))
-        in
-        let c = scale lo +. scale hi in
-        Hashtbl.add memo id c;
-        c)
-  in
-  count t *. (2. ** float_of_int (level t))
 
 (* ------------------------------------------------------------------ *)
 (* Self-validation                                                     *)

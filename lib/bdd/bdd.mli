@@ -53,23 +53,11 @@ val is_top : t -> bool
 val restrict : t -> var -> bool -> t
 (** [restrict f i b] is the cofactor of [f] with variable [i] set to [b]. *)
 
-val exists : var -> t -> t
-(** [exists i f] is [restrict f i false ∨ restrict f i true]. *)
-
 val eval : (var -> bool) -> t -> bool
 (** Evaluate under a valuation. *)
 
 val support : t -> var list
 (** The variables the function actually depends on, ascending. *)
-
-val any_sat : t -> (var * bool) list option
-(** Some satisfying partial assignment (only variables on one root-to-[top]
-    path are listed; unlisted variables are don't-care), or [None] if the
-    function is [bot]. *)
-
-val sat_count : nvars:int -> t -> float
-(** Number of satisfying assignments over the variable universe
-    [0 .. nvars-1]. *)
 
 val check_integrity : unit -> (unit, string) result
 (** Re-check the ROBDD representation invariants (hash-cons key

@@ -223,25 +223,6 @@ let terminal_scanner () =
 
 let terminals t = terminal_scanner () t
 
-let guard_of t k =
-  let tbl = Hashtbl.create 64 in
-  let rec go t =
-    match t with
-    | Leaf { value; _ } -> if value = k then Bdd.top else Bdd.bot
-    | Node { id; v; lo; hi } -> (
-      match Hashtbl.find_opt tbl id with
-      | Some g -> g
-      | None ->
-        let g =
-          Bdd.disj
-            (Bdd.conj (Bdd.nvar v) (go lo))
-            (Bdd.conj (Bdd.var v) (go hi))
-        in
-        Hashtbl.add tbl id g;
-        g)
-  in
-  go t
-
 let find_terminal t k =
   let rec go acc t =
     match t with

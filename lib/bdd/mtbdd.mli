@@ -64,9 +64,6 @@ val terminal_scanner : unit -> t -> int list
 val terminals : t -> int list
 (** All terminal values occurring in the diagram, ascending, no duplicates. *)
 
-val guard_of : t -> int -> Bdd.t
-(** [guard_of m k] is the boolean function "[m] evaluates to [k]". *)
-
 val find_terminal : t -> int -> (var * bool) list option
 (** A partial valuation leading to the given terminal, if it occurs.
     Unlisted variables are don't-care. *)

@@ -94,7 +94,6 @@ let lcrs_of_stylesheet (s : Css_ast.stylesheet) : Heap.tree =
   to_lcrs (of_stylesheet s) ~siblings:[]
 
 (** Number of positions in the binarized document. *)
-let lcrs_size s = Heap.size (lcrs_of_stylesheet s)
 
 (** Sum of the abstract [value] sizes over the binarized document — the
     quantity the abstract (Retreet-level) minification passes reduce;

@@ -7,21 +7,9 @@
     and write ([kind], [prop], [value]), so the abstract passes can be
     interpreted on binarized real stylesheets. *)
 
-type ntree = {
-  label : string;
-  fields : (string * int) list;
-  children : ntree list;
-}
-
-val of_stylesheet : Css_ast.stylesheet -> ntree
-
-val to_lcrs : ntree -> siblings:ntree list -> Heap.tree
+val lcrs_of_stylesheet : Css_ast.stylesheet -> Heap.tree
 (** The binary left child is the first child; the binary right child is
     the next sibling. *)
-
-val lcrs_of_stylesheet : Css_ast.stylesheet -> Heap.tree
-
-val lcrs_size : Css_ast.stylesheet -> int
 
 val abstract_size : Heap.tree -> int
 (** Sum of the [value] fields — the quantity the abstract minification

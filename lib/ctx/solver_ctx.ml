@@ -60,8 +60,6 @@ let create () =
     slots = Hashtbl.create 16;
   }
 
-let owner ctx = ctx.ctx_owner
-let id ctx = ctx.ctx_id
 let created () = Atomic.get next_ctx_id
 
 (* The fail-fast ownership check (see DESIGN.md, "Domain safety"): a

@@ -5,7 +5,8 @@
     tree-automata operation statistics — lives in a {!t}: a
     heterogeneous bag of {!Slot.t}s owned by the domain that created it.
     Each library that used to keep module-level globals declares a slot
-    instead and reads it through {!get} on the {e current} context.
+    instead and reads it through {!get_current} on the {e current}
+    context.
 
     The current context is domain-local: the first access from a fresh
     domain materializes a context owned by that domain, so two domains
@@ -28,21 +29,11 @@ exception Ownership_violation of string
 val create : unit -> t
 (** A fresh, empty context owned by the calling domain. *)
 
-val owner : t -> Domain.id
-(** The domain that created the context (the only one allowed to use it). *)
-
-val id : t -> int
-(** Process-unique context id (diagnostics). *)
-
 val created : unit -> int
 (** Total contexts created so far in this process, across all domains.
     Every cold-state query ({!with_fresh}) creates exactly one, so the
     serve-layer metrics use this as an honest count of cold solves —
     cache hits create none. *)
-
-val current : unit -> t
-(** The calling domain's current context.  Each domain lazily gets its
-    own root context; {!with_ctx} overrides it for an extent. *)
 
 val with_ctx : t -> (unit -> 'a) -> 'a
 (** [with_ctx ctx f] runs [f] with [ctx] as the current context,
@@ -61,14 +52,11 @@ module Slot : sig
 
   val create : (unit -> 'a) -> 'a slot
   (** [create init] declares a new slot; [init] runs once per context,
-      on first {!get}.  Slots are declared at module-initialization
+      on first access.  Slots are declared at module-initialization
       time, one per piece of formerly-global state. *)
 end
 
-val get : t -> 'a Slot.slot -> 'a
-(** The slot's state in this context, created on first use.
-    @raise Ownership_violation if called from a domain other than the
-    context's owner. *)
-
 val get_current : 'a Slot.slot -> 'a
-(** [get_current s] = [get (current ()) s] — the common accessor. *)
+(** The slot's state in the calling domain's current context, created on
+    first use.  Each domain lazily gets its own root context; {!with_ctx}
+    overrides it for an extent. *)

@@ -91,12 +91,6 @@ let build (t : Heap.tree) : int =
 
 type hop = Up | Left | Right | Here
 
-let pp_hop ppf = function
-  | Up -> Fmt.string ppf "up"
-  | Left -> Fmt.string ppf "left"
-  | Right -> Fmt.string ppf "right"
-  | Here -> Fmt.string ppf "here"
-
 (** One routing step at a node holding routing data: where to forward a
     message addressed to number [dest].  Follows the tree edges using the
     subtree ranges, which is the efficient cycletree routing the paper
@@ -195,17 +189,6 @@ let cycle_edges (t : Heap.tree) : (Ast.dir list * Ast.dir list) list =
 
 (** Every consecutive pair in the cyclic order is within the given tree
     distance; ordinary cycletrees keep consecutive nodes very close. *)
-let max_consecutive_distance (t : Heap.tree) : int =
-  let order = cycle_order t in
-  let n = List.length order in
-  if n <= 1 then 0
-  else
-    List.mapi
-      (fun i (_, p) ->
-        let _, q = List.nth order ((i + 1) mod n) in
-        tree_distance p q)
-      order
-    |> List.fold_left max 0
 
 (** Total number of communication links (tree edges plus cycle edges) —
     the quantity the cycletree papers bound by roughly [4n/3]. *)

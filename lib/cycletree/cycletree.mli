@@ -13,28 +13,11 @@
     fields the verified Retreet traversals manipulate, so the substrate
     can be cross-checked against the interpreter. *)
 
-type mode = Root | Pre | In | Post
-
-val number_cyclic : ?mode:mode -> Heap.tree -> int -> int
-(** Assign [num] in the cyclic order of Figure 9, starting from the given
-    counter; returns the next unused number. *)
-
-val compute_routing : Heap.tree -> unit
-(** The post-order routing-data pass ([ComputeRouting]). *)
-
 val build : Heap.tree -> int
-(** [number_cyclic] followed by [compute_routing]; returns the node
-    count. *)
+(** Assign [num] in the cyclic order of Figure 9, then run the post-order
+    routing-data pass ([ComputeRouting]); returns the node count. *)
 
 (** {1 Routing} *)
-
-type hop = Up | Left | Right | Here
-
-val pp_hop : Format.formatter -> hop -> unit
-
-val next_hop : Heap.tree -> dest:int -> hop
-(** Where a node holding routing data forwards a message addressed to the
-    number [dest].  @raise Invalid_argument on a nil node. *)
 
 val route : Heap.tree -> from:Ast.dir list -> dest:int -> int * Ast.dir list
 (** Route a message hop by hop; returns the hop count and the destination
@@ -43,20 +26,12 @@ val route : Heap.tree -> from:Ast.dir list -> dest:int -> int * Ast.dir list
 
 (** {1 Validation} *)
 
-val cycle_order : Heap.tree -> (int * Ast.dir list) list
-(** Nodes in cyclic-number order. *)
-
 val numbering_is_bijection : Heap.tree -> bool
 (** Is the numbering exactly [0 .. size-1]? *)
-
-val tree_distance : Ast.dir list -> Ast.dir list -> int
-(** Hops between two positions through their common ancestor. *)
 
 val cycle_edges : Heap.tree -> (Ast.dir list * Ast.dir list) list
 (** Cyclically consecutive node pairs that are not tree-adjacent and
     therefore need an extra link. *)
-
-val max_consecutive_distance : Heap.tree -> int
 
 val edge_count : Heap.tree -> int
 (** Tree edges plus cycle edges. *)

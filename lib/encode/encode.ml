@@ -385,20 +385,16 @@ let configuration t ns ~q ~x : Mso.formula =
 (* ------------------------------------------------------------------ *)
 (* Schedules: Consistent, Ordered, Parallel (Figure 5)                  *)
 
-(** The two configurations agree on every record and condition label at
-    every ancestor of [z], share a record of [s] at [z], and continue to
-    [t1] (resp. [t2]). *)
-(* One divergence group: the two configurations share the prefix up to a
-   record of call [s] at [z] and continue to blocks [t1], [t2] with
-   [rel t1 t2].  The agreement and the shared record constraints are stated
-   once per group; the (t1, t2) choices form a nested disjunction inside
-   the same ∃z, which keeps the number of big automata proportional to the
-   number of call blocks rather than to the number of block pairs. *)
-(* The divergence disjunction of Figure 5, factored: the agreement prefix
-   is shared by every disjunct, so the formula is
-   [∃z. Agree(z) ∧ ∨_s (L1_s(z) ∧ L2_s(z) ∧ ∨_{t1 rel t2} Next₁ ∧ Next₂)] —
-   one quantifier and one agreement automaton for the whole relation,
-   with small per-call disjuncts inside. *)
+(* One divergence group of Figure 5's disjunction, for call block [s]:
+   both configurations hold a record of [s] at [z] and continue to blocks
+   [t1], [t2] of the function [s] calls, with [rel t1 t2].  The (t1, t2)
+   choices form one nested disjunction under the shared record
+   constraints, so the number of big automata grows with the number of
+   call blocks, not of block pairs.  [divergence_cases] adds the agreement
+   above [z] and the quantifier.  With [calls_only], only call/call
+   continuations count; such a group depends only on the functions
+   [target1] and [target2], so every block pair with those functions
+   shares it. *)
 let divergence_group t ns1 ns2 ~current1 ~current2 ~target1 ~target2
     ~calls_only rel s : Mso.formula =
   let z = "z" in
@@ -480,7 +476,7 @@ let divergence_cases t ns1 ns2 ~current1 ~current2 rel : Mso.formula list =
   let target c =
     match c with
     | Some (q, _) -> (Blocks.block t.info q).bfunc
-    | None -> invalid_arg "Encode.divergence_or: current records required"
+    | None -> invalid_arg "Encode.divergence_cases: current records required"
   in
   let target1 = target current1 and target2 = target current2 in
   (* The call/call continuations depend only on the current blocks'

@@ -46,14 +46,9 @@ val make : ?field_sensitive:bool -> ?prune:bool -> Blocks.t -> t
     @param prune force labels of calls that cannot reach the current
            record to be empty (default [true]; [false] for ablations) *)
 
-val access_of : t -> int -> Rw.access
-(** @raise Invalid_argument on a call block. *)
-
 (** {1 Label variables} *)
 
 val block_var : t -> ns -> int -> string
-
-val cond_var : t -> ns -> int -> string
 
 val labels : t -> ns -> string list
 (** All label variables of one namespace, in a stable order. *)
@@ -64,15 +59,6 @@ val label_env : t -> ns list -> Mso.env
     stay linear-size BDDs. *)
 
 (** {1 Formulas} *)
-
-val path_rel : Mso.var -> Ast.dir list -> Mso.var -> Mso.formula
-(** [path_rel u pi v]: [v] is reached from [u] along the pointer path. *)
-
-val nil_at : Mso.var -> Ast.dir list -> polarity:bool -> Mso.formula
-
-val path_cond : t -> ns -> int -> Mso.var * Mso.var -> Mso.formula
-(** [PathCond_{·,q}(u, v)]: the record of block [q] at [v] is reachable
-    from its frame record at [u] (structural step plus guards). *)
 
 val configuration : t -> ns -> q:int -> x:Mso.var -> Mso.formula
 (** [Configuration(L, C, q, x)]: the namespace's labels describe a valid

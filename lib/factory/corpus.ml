@@ -281,6 +281,7 @@ let shrink (cfg : config) (d : disagreement) : Factory.scenario =
 (* ------------------------------------------------------------------ *)
 (* On-disk corpus                                                      *)
 
+(* The deterministic corpus basename, e.g. [0007_fuse_broken_css]. *)
 let scenario_base i (sc : Factory.scenario) =
   Printf.sprintf "%04d_%s" i (scenario_label sc)
 

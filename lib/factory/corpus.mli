@@ -69,9 +69,6 @@ val write_repro : dir:string -> Factory.scenario -> string
     (plus [.fused.retreet]/[.map] for fusion scenarios) and return the
     primary path.  The file is a parseable, self-contained reproducer. *)
 
-val scenario_base : int -> Factory.scenario -> string
-(** Deterministic corpus basename, e.g. [0007_fuse_broken_css]. *)
-
 val prepare_out_dir : string -> (unit, string) result
 (** Create the directory if needed.  Refuses (with an explanation) a
     non-empty directory that does not carry a [MANIFEST.tsv] — [gen]

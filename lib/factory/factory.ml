@@ -562,6 +562,7 @@ let gen_sheet rng : sheet =
             ( Random.State.int rng (Array.length css_props),
               Random.State.int rng (Array.length css_values) )) ))
 
+(* A weighted random kind and a shape that fits it. *)
 let gen_shape rng : kind * shape =
   let kind =
     match Random.State.int rng 10 with

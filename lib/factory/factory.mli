@@ -108,10 +108,6 @@ val build : kind -> shape -> scenario
     @raise Invalid_argument if an invariant is violated (a factory bug —
     the qcheck suite exists to keep this unreachable). *)
 
-val gen_shape : Random.State.t -> kind * shape
-(** Weighted random kind and fitting shape; directly usable as a
-    [QCheck.Gen.t]. *)
-
 val gen_scenario : Random.State.t -> scenario
 
 val sample : seed:int -> count:int -> scenario list

@@ -117,6 +117,3 @@ val on_flush : (unit -> unit) -> unit
 (** Register a cache-flush callback.  Substrates with memo caches that
     may capture fault-corrupted results (BDD apply caches, the MSO
     compile cache) register a reset function at init time. *)
-
-val flush_caches : unit -> unit
-(** Run every registered flush callback (newest first). *)

@@ -13,8 +13,6 @@ and node = {
   fields : (string, int) Hashtbl.t;
 }
 
-let nil = Nil
-
 let node ?(fields = []) left right =
   let tbl = Hashtbl.create 4 in
   List.iter (fun (f, v) -> Hashtbl.replace tbl f v) fields;

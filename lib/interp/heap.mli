@@ -16,8 +16,6 @@ and node = {
   fields : (string, int) Hashtbl.t;
 }
 
-val nil : tree
-
 val node : ?fields:(string * int) list -> tree -> tree -> tree
 
 val leaf : ?fields:(string * int) list -> unit -> tree

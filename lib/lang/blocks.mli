@@ -57,10 +57,6 @@ type t = {
   bodies : (string * astmt) list;  (** annotated body per function *)
 }
 
-val strip_not : Ast.bexpr -> Ast.bexpr * bool
-(** Strip [NotB] wrappers; the boolean is [true] when the polarity
-    flipped an odd number of times. *)
-
 val analyze : Ast.prog -> t
 (** Number blocks and conditions in source order (matching the paper's
     numbering of the running example). *)

@@ -119,6 +119,7 @@ let print_func (f : Ast.func) =
 let print_prog (p : Ast.prog) =
   String.concat "\n" (List.map print_func p.Ast.funcs)
 
+(* Structural equality that ignores [fline]; labels count. *)
 let equal_func (a : Ast.func) (b : Ast.func) =
   a.Ast.fname = b.Ast.fname
   && a.Ast.loc_param = b.Ast.loc_param

@@ -16,9 +16,4 @@
 val print_prog : Ast.prog -> string
 (** Deterministic byte-for-byte rendering (2-space indent, LF newlines). *)
 
-val print_func : Ast.func -> string
-
-val equal_func : Ast.func -> Ast.func -> bool
-(** Structural equality ignoring [fline] (labels included). *)
-
 val equal_prog : Ast.prog -> Ast.prog -> bool

@@ -62,18 +62,3 @@ let of_block (info : Blocks.t) (id : int) : access =
         reads := sites_of_cond (Blocks.cond info cid).cond @ !reads)
       b.guards;
     { reads = dedup !reads; writes = dedup !writes; ret_write = !ret_write }
-
-(** Do two sites denote the same location when both frames sit on the same
-    node?  (Fields compare by full path and name; variables by name — the
-    encoder additionally requires the frames to coincide for variables.) *)
-let same_site (a : site) (b : site) = a = b
-
-(** All pairs [(r1, w2)] with a read (or write) of [b1] colliding with a
-    write of [b2] — the raw ingredients of [ReadWrite/Write] from the
-    paper's Dependence predicate. *)
-let collisions (a1 : access) (a2 : access) : (site * site) list =
-  let pairs xs ys =
-    List.concat_map (fun x -> List.filter_map (fun y ->
-        if same_site x y then Some (x, y) else None) ys) xs
-  in
-  dedup (pairs (a1.reads @ a1.writes) a2.writes @ pairs a1.writes a2.reads)

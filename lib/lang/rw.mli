@@ -22,10 +22,3 @@ type access = {
 val of_block : Blocks.t -> int -> access
 (** Access sets of a non-call block.
     @raise Invalid_argument on a call block. *)
-
-val same_site : site -> site -> bool
-
-val collisions : access -> access -> (site * site) list
-(** Syntactically identical colliding sites (one side writing) — a quick
-    necessary condition; the encoder performs the full path-sensitive
-    matching. *)

@@ -5,9 +5,7 @@
     each parameter by an input symbol (the initial values [I]).  The result
     attaches to every branch condition its weakest precondition transported
     to the function entry (Figure 12) — a nil test on a location, or a
-    linear-arithmetic atom over the entry symbols — and records the
-    symbolic integer arguments of every call and the symbolic returned
-    vector of every return block.
+    linear-arithmetic atom over the entry symbols.
 
     Join points (code after a conditional or a parallel composition whose
     arms disagree on a variable or field) introduce fresh join symbols; the
@@ -21,8 +19,6 @@ type sym_cond =
 type t = {
   info : Blocks.t;
   cond_sym : sym_cond array;  (** indexed by condition id *)
-  call_args : (int * Lin.t list) list;  (** call block id -> symbolic args *)
-  ret_exprs : (int * Lin.t list) list;  (** return block id -> symbolic vector *)
 }
 
 (* Symbol naming scheme.  All names are scoped by function so that atoms
@@ -94,7 +90,6 @@ let join counter fname (a : state) (b : state) : state =
 
 let analyze (info : Blocks.t) : t =
   let cond_sym = Array.make (Array.length info.conds) (SNil []) in
-  let call_args = ref [] and ret_exprs = ref [] in
   List.iter
     (fun (f : Ast.func) ->
       let fname = f.fname in
@@ -113,8 +108,6 @@ let analyze (info : Blocks.t) : t =
         | Blocks.ABlock id -> (
           match (Blocks.block info id).block with
           | Ast.Call c ->
-            let args = List.map (eval_aexpr fname st) c.args in
-            call_args := (id, args) :: !call_args;
             let vars =
               List.fold_left
                 (fun (k, m) x -> (k + 1, SM.add x (Lin.var (ghost_sym id k)) m))
@@ -133,10 +126,7 @@ let analyze (info : Blocks.t) : t =
                     st with
                     flds = FM.add (p, fld) (eval_aexpr fname st e) st.flds;
                   }
-                | Ast.Return es ->
-                  ret_exprs :=
-                    (id, List.map (eval_aexpr fname st) es) :: !ret_exprs;
-                  st)
+                | Ast.Return _ -> st)
               st assigns)
         | Blocks.AIf (cid, _, s1, s2) ->
           Option.iter
@@ -158,7 +148,7 @@ let analyze (info : Blocks.t) : t =
       in
       ignore (walk init (Blocks.body_of info fname)))
     info.prog.funcs;
-  { info; cond_sym; call_args = !call_args; ret_exprs = !ret_exprs }
+  { info; cond_sym }
 
 (** The weakest-precondition form of condition [cid] as a LIA atom,
     [None] for structural nil conditions.  Polarity [true] is the positive
@@ -171,14 +161,3 @@ let cond_atom (t : t) cid ~(polarity : bool) : Lia.atom option =
 (** The nil-test location of condition [cid], if structural. *)
 let cond_nil (t : t) cid : Ast.lexpr option =
   match t.cond_sym.(cid) with SNil p -> Some p | SArith _ -> None
-
-let args_of (t : t) call_id =
-  match List.assoc_opt call_id t.call_args with Some a -> a | None -> []
-
-let returns_of (t : t) ret_id =
-  match List.assoc_opt ret_id t.ret_exprs with Some a -> a | None -> []
-
-(** The guard conjunction of a block as LIA atoms (arithmetic conditions
-    only; nil conditions are handled structurally by the encoder). *)
-let guard_atoms (t : t) (b : Blocks.block_info) : Lia.conj =
-  List.filter_map (fun (cid, pol) -> cond_atom t cid ~polarity:pol) b.guards

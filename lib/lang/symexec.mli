@@ -17,19 +17,7 @@ type sym_cond =
 type t = {
   info : Blocks.t;
   cond_sym : sym_cond array;  (** indexed by condition id *)
-  call_args : (int * Lin.t list) list;  (** call block id → symbolic args *)
-  ret_exprs : (int * Lin.t list) list;
-      (** return block id → symbolic returned vector *)
 }
-
-val param_sym : string -> string -> string
-(** [param_sym fname p]: the entry symbol of parameter [p] of [fname]. *)
-
-val field_sym : string -> Ast.dir list -> string -> string
-(** Entry symbol of a field's initial value. *)
-
-val ghost_sym : int -> int -> string
-(** [ghost_sym block k]: speculative output [k] of a call block. *)
 
 val analyze : Blocks.t -> t
 
@@ -39,10 +27,3 @@ val cond_atom : t -> int -> polarity:bool -> Lia.atom option
 
 val cond_nil : t -> int -> Ast.lexpr option
 (** The nil-test location of a condition, if structural. *)
-
-val args_of : t -> int -> Lin.t list
-
-val returns_of : t -> int -> Lin.t list
-
-val guard_atoms : t -> Blocks.block_info -> Lia.conj
-(** The arithmetic guards of a block as transported atoms. *)

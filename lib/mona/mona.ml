@@ -88,24 +88,3 @@ let write_mona ?comment ~path env f =
   let oc = open_out path in
   output_string oc (to_mona ?comment env f);
   close_out oc
-
-(** Outcome of a MONA run, parsed from its standard output. *)
-type outcome =
-  | Valid
-  | Unsatisfiable
-  | Satisfiable  (** a satisfying example was printed *)
-  | Unknown of string
-
-let parse_output (s : string) : outcome =
-  let contains frag =
-    let ls = String.length s and lf = String.length frag in
-    let rec go i =
-      i + lf <= ls && (String.sub s i lf = frag || go (i + 1))
-    in
-    go 0
-  in
-  if contains "Formula is valid" then Valid
-  else if contains "Formula is unsatisfiable" then Unsatisfiable
-  else if contains "A satisfying example" || contains "A counter-example"
-  then Satisfiable
-  else Unknown s

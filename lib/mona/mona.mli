@@ -3,9 +3,8 @@
 
     This repository ships its own decision procedure, so MONA is not
     required; this module serializes the generated queries in MONA's WS2S
-    concrete syntax (so a stock [mona] binary can solve them, and the
-    encoding can be inspected in a well-known exchange format) and parses
-    MONA's output. *)
+    concrete syntax, so a stock [mona] binary can solve them and the
+    encoding can be inspected in a well-known exchange format. *)
 
 val pp_formula : Format.formatter -> Mso.formula -> unit
 (** One formula in MONA syntax (without the prologue). *)
@@ -17,12 +16,3 @@ val to_mona : ?comment:string -> Mso.env -> Mso.formula -> string
 
 val write_mona :
   ?comment:string -> path:string -> Mso.env -> Mso.formula -> unit
-
-(** Outcome of a MONA run, parsed from its standard output. *)
-type outcome =
-  | Valid
-  | Unsatisfiable
-  | Satisfiable  (** a satisfying example / counter-example was printed *)
-  | Unknown of string
-
-val parse_output : string -> outcome

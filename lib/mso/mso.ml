@@ -87,9 +87,6 @@ let iff a b =
   | b, False -> not_ b
   | _ -> Iff (a, b)
 
-let exists1_many xs f = List.fold_right (fun x acc -> Exists1 (x, acc)) xs f
-let forall1_many xs f = List.fold_right (fun x acc -> Forall1 (x, acc)) xs f
-
 (* ------------------------------------------------------------------ *)
 (* Free variables                                                      *)
 
@@ -592,7 +589,6 @@ let solve env formula =
   | Some tree -> Some { tree; assignment = decode env tree }
 
 let satisfiable env formula = Option.is_some (solve env formula)
-let valid env formula = not (satisfiable env (not_ formula))
 
 (* ------------------------------------------------------------------ *)
 (* Reference semantics                                                 *)

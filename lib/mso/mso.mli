@@ -58,10 +58,6 @@ val imp : formula -> formula -> formula
 
 val iff : formula -> formula -> formula
 
-val forall1_many : var list -> formula -> formula
-
-val exists1_many : var list -> formula -> formula
-
 (** {1 Deciding} *)
 
 type kind = FO | SO
@@ -86,9 +82,6 @@ val solve : env -> formula -> model option
     declared in the environment. *)
 
 val satisfiable : env -> formula -> bool
-
-val valid : env -> formula -> bool
-(** No counter-interpretation exists: [not (satisfiable (Not f))]. *)
 
 val compile : env -> formula -> Treeauto.t
 (** The automaton recognizing exactly the models of the formula (with the

@@ -14,8 +14,13 @@ let slice_share ~left ~remaining ~jobs =
     let rounds = max 1 ((remaining + jobs - 1) / jobs) in
     left /. float_of_int rounds
 
-(* Concurrency-layer fault site (see pool.mli): simulates worker crashes
-   for the supervised pool. *)
+(* The concurrency-layer fault site ["pool.submit"]: when armed on the
+   domain that calls [Supervised.submit], a firing hit marks the submitted
+   job as sabotaged, and the worker that picks it up raises
+   [Faults.Injected_crash] in place of running it, on every attempt.
+   This exercises the full supervision path deterministically: crash
+   isolation, worker restart with backoff, one requeue, and the typed
+   [Supervised.Crashed] outcome. *)
 let submit_site =
   Faults.register ~name:"pool.submit"
     ~descr:"crash the worker that picks up a submitted supervised job" ()

@@ -35,15 +35,6 @@ val slice_share : left:float -> remaining:int -> jobs:int -> float
     [left <= 0.] or [remaining <= 0].  Pure — exercised directly by
     unit tests. *)
 
-val submit_site : Faults.site
-(** The ["pool.submit"] fault site: when armed on the domain that calls
-    {!Supervised.submit}, a firing hit marks the submitted job as
-    sabotaged — the worker that picks it up raises
-    {!Faults.Injected_crash} in place of running it, on {e every}
-    attempt.  This exercises the full supervision path deterministically:
-    crash isolation, worker restart with backoff, one requeue, and the
-    typed {!Supervised.Crashed} outcome. *)
-
 val run_batch :
   jobs:int ->
   ?budget:Engine.budget ->
@@ -117,7 +108,7 @@ module Supervised : sig
 
   val submit : 'a t -> (unit -> 'a) -> 'a ticket
   (** Enqueue a job without blocking.  The ["pool.submit"] fault
-      decision ({!submit_site}) is made here, on the calling thread's
+      decision is made here, on the calling thread's
       domain — callers that arm a site per request should hold their
       arming lock only across this call, not across {!await}. *)
 

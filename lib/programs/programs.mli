@@ -72,10 +72,10 @@ val parse : string -> Ast.prog
 val load : string -> Blocks.t
 (** Parse and check; @raise Invalid_argument on an ill-formed program. *)
 
-(** {1 Table 1 block maps}
+(** {1 Table 1}
 
-    Each maps labels of the source version to labels of the fused one, as
-    [Analysis.check_equivalence] takes them. *)
+    The block maps map labels of the source version to labels of the
+    fused one, as [Analysis.check_equivalence] takes them. *)
 
 val size_counting_map : (string * string) list
 (** [size_counting_seq] to [size_counting_fused] (E1) or
@@ -89,3 +89,23 @@ val css_minification_map : (string * string) list
 
 val cycletree_map : (string * string) list
 (** [cycletree_seq] to [cycletree_fused] (E6). *)
+
+(** A query of Table 1. *)
+type query =
+  | Race of string  (** is this program data-race-free? *)
+  | Equiv of string * string * (string * string) list
+      (** are these two programs equivalent under this block map? *)
+
+type row = {
+  id : string;  (** ["E1"] to ["E7"] *)
+  study : string;
+  title : string;  (** the query in words, with the paper's figure *)
+  query : query;
+  expect : int;
+      (** the exit code of the paper's verdict: 0 proof, 1 refutation *)
+  paper_result : string;
+  paper_time : string;
+}
+
+val table1 : row list
+(** The paper's seven queries, E1 to E7, in order. *)

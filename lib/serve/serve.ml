@@ -409,8 +409,6 @@ module Core = struct
       line "snapshot_load_status" (Serve_snapshot.status_word status));
     Buffer.contents buf
 
-  let draining t = t.stopping
-
   let drain ?grace t =
     t.stopping <- true;
     let cut = Pool.Supervised.drain ?grace t.pool in

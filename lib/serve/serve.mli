@@ -136,20 +136,10 @@ module Core : sig
   (** [(description, entries_loaded)] of the startup snapshot load —
       [None] when the core was created without a snapshot path. *)
 
-  val snapshot_now : ?block:bool -> t -> (int, string) result
-  (** Flush the reply cache to the snapshot file now, atomically
-      (write-temp, fsync, rename).  [Ok bytes] on success ([Ok 0] when
-      no snapshot path is configured, or when [block:false] found
-      another save already in flight and skipped); [Error] is masked
-      into the [snapshot_save_failures] metric by the periodic path —
-      the previous snapshot on disk stays intact either way. *)
-
   val metrics_text : t -> string
   (** The [--metrics] report: one [key value] line each for uptime, qps,
       shed/degraded counts, cache hit rate and occupancy, queue depth,
       worker crash/restart/retry counts, and p50/p99 solve time. *)
-
-  val draining : t -> bool
 
   val drain : ?grace:float -> t -> int
   (** Stop admitting queries ([solve] replies [Draining]), drain the

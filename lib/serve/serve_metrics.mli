@@ -22,9 +22,7 @@ val count : t -> counter -> int
 
 val record_solve : t -> float -> unit
 (** Record the wall-time of one cache-miss solve (seconds).  The ring
-    keeps the most recent {!ring_size} samples for the percentiles. *)
-
-val ring_size : int
+    keeps the most recent 512 samples for the percentiles. *)
 
 val solves : t -> int
 (** Solves recorded so far (≥ samples resident in the ring). *)

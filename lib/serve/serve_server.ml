@@ -104,8 +104,6 @@ type t = {
   mutable drained : int option;  (* await's result, once computed *)
 }
 
-let core t = t.core
-
 let start ~socket ?workers ?max_queue ?cache_nodes ?allowance ?window
     ?(grace = 5.) ?(read_deadline = 30.) ?snapshot ?snapshot_every ?inject
     () =
@@ -182,6 +180,7 @@ let start ~socket ?workers ?max_queue ?cache_nodes ?allowance ?window
           drained = None;
         })
 
+(* Async-signal-safe: a self-pipe write.  Does not wait. *)
 let signal_stop t =
   ignore_exn (fun () -> ignore (Unix.write t.stop_w (Bytes.make 1 '!') 0 1))
 

@@ -9,10 +9,10 @@
     typed error instead of wedging a handler slot forever.
 
     Two entry points share the machinery: {!run} is the CLI's blocking
-    loop (SIGTERM/SIGINT trigger the drain), while {!start} /
-    {!signal_stop} / {!await} expose the same server in-process so the
-    protocol fuzzer, the chaos harness, and the benchmarks can stand up
-    a real listener inside the test binary.
+    loop (SIGTERM/SIGINT trigger the drain), while {!start} / {!stop}
+    expose the same server in-process so the protocol fuzzer, the chaos
+    harness, and the benchmarks can stand up a real listener inside the
+    test binary.
 
     Draining — by signal or {!stop} — closes the listener, gives
     in-flight queries the remaining grace slice, cuts the still-queued
@@ -47,21 +47,12 @@ val start :
     server-side, since {!Serve.Core.solve} refuses them as per-query
     options. *)
 
-val core : t -> Serve.Core.t
-
-val signal_stop : t -> unit
-(** Ask the accept loop to stop, from any thread (async-signal-safe: a
-    self-pipe write).  Does not wait. *)
-
-val await : t -> int
-(** Wait for the accept loop to exit, then drain: close the listener,
-    unlink the socket, drain the core (final snapshot included), and
-    give handler threads a bounded moment to flush their last replies.
-    Returns the number of queries cut by the grace deadline.
-    Idempotent. *)
-
 val stop : t -> int
-(** [signal_stop] then [await]. *)
+(** Ask the accept loop to stop, wait for it to exit, then drain: close
+    the listener, unlink the socket, drain the core (final snapshot
+    included), and give handler threads a bounded moment to flush their
+    last replies.  Returns the number of queries cut by the grace
+    deadline.  Idempotent. *)
 
 val run :
   socket:string ->
@@ -80,7 +71,7 @@ val run :
 (** The CLI entry: block SIGTERM/SIGINT process-wide, {!start}, wait
     for a signal synchronously ([Thread.wait_signal] — an async handler
     can wedge when every thread of an idle daemon is parked outside the
-    runtime), then {!signal_stop}, drain, print the final
+    runtime), then stop the accept loop, drain, print the final
     metrics report (cache and snapshot stats included) to stdout.
     Returns the process exit code (0 after a clean drain, 2 when the
     listener could not be set up). *)

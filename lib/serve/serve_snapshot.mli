@@ -33,9 +33,6 @@
     {!load} must degrade to a valid prefix) make both paths
     deterministically testable. *)
 
-val write_site : Faults.site
-val load_site : Faults.site
-
 type entry = string * int * (string * int)
 (** [(key, weight, (text, code))] — the {!Serve_cache} entry triple. *)
 

@@ -25,8 +25,8 @@
     cannot make the server allocate unboundedly; an over-cap length is a
     {e typed} protocol error naming the cap, not a silent drop.
 
-    Fault sites {!read_site} and {!write_site} tear reads and writes
-    deterministically so both endpoints' torn-frame handling is
+    The fault sites ["wire.read"] and ["wire.write"] tear reads and
+    writes deterministically so both endpoints' torn-frame handling is
     testable. *)
 
 type request =
@@ -36,14 +36,6 @@ type request =
 
 val max_payload : int
 (** Upper bound on a request or reply payload (16 MiB). *)
-
-val read_site : Faults.site
-(** ["wire.read"]: a firing payload read consumes a strict prefix and
-    raises [End_of_file], as if the peer died mid-frame. *)
-
-val write_site : Faults.site
-(** ["wire.write"]: a firing frame write emits a torn header prefix and
-    raises [Sys_error], as if the pipe broke mid-write. *)
 
 val read_request : in_channel -> (request, string) result option
 (** Read one request; [None] on a clean EOF, [Error] on a malformed

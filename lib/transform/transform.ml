@@ -1,8 +1,6 @@
 (** Source-to-source transformations over Retreet programs.
 
-    The two transformations the paper verifies are implemented here:
-    {e fusion} of sequentially composed traversals into a single traversal,
-    and {e parallelization} of sequentially composed traversals.  Each
+    {e Fusion} of sequentially composed traversals into a single traversal
     produces the transformed program together with the non-call block map
     that aligns it with the original, which is exactly what
     [Analysis.check_equivalence] needs; the framework then proves or
@@ -201,34 +199,3 @@ let fuse ?(fused_name = "Fused") (prog : Ast.prog) (names : string list) :
     in
     Ok (prog', List.sort_uniq compare map)
   end
-
-(** Replace the sequential composition of [Main]'s traversal calls by a
-    parallel composition (the parallelization the paper checks for races).
-    All top-level calls of [Main] become parallel arms; trailing non-call
-    blocks stay sequenced after them. *)
-let parallelize_main (prog : Ast.prog) : (Ast.prog, error) result =
-  let main = Ast.main_func prog in
-  let rec split = function
-    | Ast.SSeq (a, b) ->
-      Result.bind (split a) (fun (ca, ra) ->
-          Result.bind (split b) (fun (cb, rb) -> Ok (ca @ cb, ra @ rb)))
-    | Ast.SBlock (_, Ast.Call _) as s -> Ok ([ s ], [])
-    | Ast.SBlock (_, Ast.Straight _) as s -> Ok ([], [ s ])
-    | _ -> Error "Main has an unsupported shape for parallelization"
-  in
-  Result.bind (split main.body) @@ fun (calls, rest) ->
-  match calls with
-  | [] | [ _ ] -> Error "Main performs fewer than two traversal calls"
-  | c :: cs ->
-    let par = List.fold_left (fun acc s -> Ast.SPar (acc, s)) c cs in
-    let body =
-      List.fold_left (fun acc s -> Ast.SSeq (acc, s)) par rest
-    in
-    let main' = { main with Ast.body = body } in
-    Ok
-      {
-        Ast.funcs =
-          List.map
-            (fun (f : Ast.func) -> if f.fname = "Main" then main' else f)
-            prog.funcs;
-      }

@@ -24,9 +24,3 @@ val fuse :
     The fused traversal always visits left-then-right; whether that
     reordering (and the fusion itself) is legal is decided by the
     verification, not assumed here. *)
-
-val parallelize_main : Ast.prog -> (Ast.prog, error) result
-(** Replace the sequential composition of [Main]'s traversal calls by a
-    parallel composition — the transformation whose data-race freedom the
-    framework then checks.  Trailing non-call blocks stay sequenced after
-    the parallel section. *)

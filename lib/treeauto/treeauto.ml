@@ -245,7 +245,6 @@ let binop name f a b =
 
 let inter a b = binop "inter" ( && ) a b
 let union a b = binop "union" ( || ) a b
-let diff a b = binop "diff" (fun x y -> x && not y) a b
 let complement a = { a with accept = Array.map not a.accept }
 
 (* ------------------------------------------------------------------ *)
@@ -494,8 +493,6 @@ let rename f a =
 
 (* ------------------------------------------------------------------ *)
 (* Decision procedures                                                  *)
-
-let is_empty a = not (Array.exists Fun.id a.accept)
 
 let complete_label bits = label_of_bits bits
 

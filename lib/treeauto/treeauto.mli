@@ -52,8 +52,6 @@ val inter : t -> t -> t
 
 val union : t -> t -> t
 
-val diff : t -> t -> t
-
 val complement : t -> t
 
 val inter_list : t list -> t
@@ -81,8 +79,6 @@ val minimize : t -> t
 (** Language-preserving Moore minimization (merges equivalent states). *)
 
 (** {1 Decision procedures} *)
-
-val is_empty : t -> bool
 
 val witness : t -> tree option
 (** A minimal-height accepted tree, or [None] for the empty language. *)

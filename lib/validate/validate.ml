@@ -307,101 +307,78 @@ let differential_equivalent p p' =
 (* ------------------------------------------------------------------ *)
 (* Validated queries                                                   *)
 
-let finish ~level ~t0 ~t_query ~obs checks =
-  {
-    vlevel = level;
-    checks;
-    query_time = t_query -. t0 -. obs.time;
-    validation_time = Engine.now () -. t_query +. obs.time;
-  }
-
-let check_data_race ?(level = Witness) ?(budget = Engine.unlimited) info =
+(* The skeleton both queries share.  Run [query] under the observer;
+   then, unless [level] is [Off], the checks [witness] gives for its
+   verdict, the invariant checks from [Invariants] on, and the checks
+   [differential] gives from [Full] on, in that order.  Both get [run],
+   which runs a named check on the budget left over from the query. *)
+let validated ~level ~budget query ~witness ~differential =
   let deadline = Engine.absolute_deadline budget in
   let t0 = Engine.now () in
-  let result, obs =
-    with_observer (level >=! Invariants) (fun () ->
-        Analysis.check_data_race ~budget info)
-  in
+  let result, obs = with_observer (level >=! Invariants) query in
   let t_query = Engine.now () in
+  let run = under_leftover ~budget ~deadline in
   let checks =
     if level = Off then []
     else begin
-      let witness_checks =
-        match result with
-        | Analysis.Race cx ->
-          [
-            under_leftover ~budget ~deadline "race.replay" (fun () ->
-                if Analysis.replay_race info cx then Passed
-                else Failed "counterexample not confirmed by concrete replay");
-          ]
-        | Analysis.Race_free | Analysis.Race_unknown _ -> []
-      in
+      let witness_checks = witness run result in
       let invariant = if level >=! Invariants then invariant_checks obs else [] in
       let differential =
-        if level >=! Full then
-          match result with
-          | Analysis.Race_free ->
-            [
-              under_leftover ~budget ~deadline "race_free.differential"
-                (fun () -> differential_race_free info);
-            ]
-          | Analysis.Race _ ->
-            [
-              under_leftover ~budget ~deadline "race.baseline" (fun () ->
-                  baseline_cross_check info);
-            ]
-          | Analysis.Race_unknown _ ->
-            [ { name = "race.differential";
-                status = Unchecked "no verdict to validate" } ]
-        else []
+        if level >=! Full then differential run result else []
       in
       witness_checks @ invariant @ differential
     end
   in
-  (result, finish ~level ~t0 ~t_query ~obs checks)
+  ( result,
+    {
+      vlevel = level;
+      checks;
+      query_time = t_query -. t0 -. obs.time;
+      validation_time = Engine.now () -. t_query +. obs.time;
+    } )
+
+let replayed confirmed =
+  if confirmed then Passed
+  else Failed "counterexample not confirmed by concrete replay"
+
+let check_data_race ?(level = Witness) ?(budget = Engine.unlimited) info =
+  validated ~level ~budget
+    (fun () -> Analysis.check_data_race ~budget info)
+    ~witness:(fun run -> function
+      | Analysis.Race cx ->
+        [
+          run "race.replay" (fun () ->
+              replayed (Analysis.replay_race info cx));
+        ]
+      | Analysis.Race_free | Analysis.Race_unknown _ -> [])
+    ~differential:(fun run -> function
+      | Analysis.Race_free ->
+        [ run "race_free.differential" (fun () -> differential_race_free info) ]
+      | Analysis.Race _ ->
+        [ run "race.baseline" (fun () -> baseline_cross_check info) ]
+      | Analysis.Race_unknown _ ->
+        [ { name = "race.differential";
+            status = Unchecked "no verdict to validate" } ])
 
 let check_equivalence ?(level = Witness) ?(budget = Engine.unlimited) p p'
     ~map =
-  let deadline = Engine.absolute_deadline budget in
-  let t0 = Engine.now () in
-  let result, obs =
-    with_observer (level >=! Invariants) (fun () ->
-        Analysis.check_equivalence ~budget p p' ~map)
-  in
-  let t_query = Engine.now () in
-  let checks =
-    if level = Off then []
-    else begin
-      let witness_checks =
-        match result with
-        | Analysis.Not_equivalent cx ->
-          [
-            under_leftover ~budget ~deadline "equiv.replay" (fun () ->
-                if Analysis.replay_equivalence p p' cx then Passed
-                else Failed "counterexample not confirmed by concrete replay");
-          ]
-        | Analysis.Equivalent _ | Analysis.Bisimulation_failed _
-        | Analysis.Equiv_unknown _ ->
-          []
-      in
-      let invariant = if level >=! Invariants then invariant_checks obs else [] in
-      let differential =
-        if level >=! Full then
-          match result with
-          | Analysis.Equivalent _ ->
-            [
-              under_leftover ~budget ~deadline "equiv.differential"
-                (fun () -> differential_equivalent p p');
-            ]
-          | Analysis.Bisimulation_failed _ ->
-            [ { name = "equiv.differential";
-                status = Unchecked "refutation is syntactic" } ]
-          | Analysis.Not_equivalent _ | Analysis.Equiv_unknown _ ->
-            [ { name = "equiv.differential";
-                status = Unchecked "no positive verdict to validate" } ]
-        else []
-      in
-      witness_checks @ invariant @ differential
-    end
-  in
-  (result, finish ~level ~t0 ~t_query ~obs checks)
+  validated ~level ~budget
+    (fun () -> Analysis.check_equivalence ~budget p p' ~map)
+    ~witness:(fun run -> function
+      | Analysis.Not_equivalent cx ->
+        [
+          run "equiv.replay" (fun () ->
+              replayed (Analysis.replay_equivalence p p' cx));
+        ]
+      | Analysis.Equivalent _ | Analysis.Bisimulation_failed _
+      | Analysis.Equiv_unknown _ ->
+        [])
+    ~differential:(fun run -> function
+      | Analysis.Equivalent _ ->
+        [ run "equiv.differential" (fun () -> differential_equivalent p p') ]
+      | Analysis.Bisimulation_failed _ ->
+        [ { name = "equiv.differential";
+            status = Unchecked "refutation is syntactic" } ]
+      | Analysis.Not_equivalent _ | Analysis.Equiv_unknown _ ->
+        [ { name = "equiv.differential";
+            status = Unchecked "no positive verdict to validate" } ])

@@ -30,8 +30,6 @@ type level =
 val level_enum : (string * level) list
 (** Command-line names, for [Cmdliner.Arg.enum]. *)
 
-val pp_level : Format.formatter -> level -> unit
-
 (** {1 Reports} *)
 
 type status =

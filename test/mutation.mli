@@ -4,15 +4,11 @@
     Retreet forbids mutating the tree topology; the paper simulates a
     child-swapping traversal with a boolean marker field and rewrites
     later reads of [n.l] into reads of [n.r] after branch elimination.
-    {!simulate_swap} mechanizes that rewriting. *)
+    {!simulate_swap} mechanizes that rewriting.
 
-val mirror_func : Ast.func -> Ast.func
-(** Swap [l] and [r] in every location expression of a function — the
-    branch-eliminated form of reading through swapped children. *)
-
-val swap_traversal : name:string -> field:string -> Ast.func
-(** The generated marker traversal: sets [field = 1] at every node,
-    post-order. *)
+    No part of the pipeline needs it: the bundled case study is the
+    hand-rewritten program, and test_transform uses this module as the
+    oracle that checks it. *)
 
 val simulate_swap :
   ?swap_name:string ->

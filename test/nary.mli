@@ -5,7 +5,11 @@
     form; this module mechanizes the conversion: describe each traversal
     as a guarded per-node action applied pre- or post-descent, and compile
     the pipeline to a Retreet program over the LCRS encoding ([n.l] =
-    first child, [n.r] = next sibling). *)
+    first child, [n.r] = next sibling).
+
+    No part of the pipeline needs it: the bundled case study is the
+    hand-converted program, and test_transform uses this module as the
+    oracle that checks it. *)
 
 (** When the per-node action runs relative to the recursive descent. *)
 type order =
@@ -25,9 +29,6 @@ type spec = {
   order : order;
   action : action;
 }
-
-val compile : spec -> Ast.func
-(** One traversal as a Retreet function over the LCRS encoding. *)
 
 val compile_pipeline : spec list -> Ast.prog
 (** A full program: the traversals plus a [Main] running them in order. *)

@@ -79,39 +79,6 @@ let prop_de_morgan =
       let a = to_bdd f and b = to_bdd g in
       Bdd.equal (Bdd.neg (Bdd.conj a b)) (Bdd.disj (Bdd.neg a) (Bdd.neg b)))
 
-let prop_exists =
-  QCheck2.Test.make ~name:"exists = disj of cofactors semantically" ~count:200
-    QCheck2.Gen.(pair form_gen (int_bound (nvars - 1)))
-    (fun (f, v) ->
-      let b = to_bdd f in
-      let e = Bdd.exists v b in
-      List.for_all
-        (fun rho ->
-          let set value x = if x = v then value else rho x in
-          Bdd.eval rho e = (feval (set false) f || feval (set true) f))
-        valuations)
-
-let prop_any_sat =
-  QCheck2.Test.make ~name:"any_sat returns a satisfying assignment" ~count:300
-    form_gen (fun f ->
-      let b = to_bdd f in
-      match Bdd.any_sat b with
-      | None -> Bdd.is_bot b
-      | Some partial ->
-        let rho v =
-          match List.assoc_opt v partial with Some x -> x | None -> false
-        in
-        Bdd.eval rho b)
-
-let prop_sat_count =
-  QCheck2.Test.make ~name:"sat_count agrees with enumeration" ~count:200
-    form_gen (fun f ->
-      let b = to_bdd f in
-      let expected =
-        List.length (List.filter (fun rho -> feval rho f) valuations)
-      in
-      int_of_float (Bdd.sat_count ~nvars b) = expected)
-
 let test_units () =
   Alcotest.(check bool) "top is top" true (Bdd.is_top Bdd.top);
   Alcotest.(check bool) "x and not x" true
@@ -129,8 +96,6 @@ let test_mtbdd_units () =
   Alcotest.(check int) "eval hi" 1 (Mtbdd.eval (fun _ -> true) m);
   Alcotest.(check int) "eval lo" 2 (Mtbdd.eval (fun _ -> false) m);
   Alcotest.(check (list int)) "terminals" [ 1; 2 ] (Mtbdd.terminals m);
-  let g = Mtbdd.guard_of m 1 in
-  Alcotest.(check bool) "guard_of" true (Bdd.equal g (Bdd.var 0));
   let sum = Mtbdd.combiner ( + ) m m in
   Alcotest.(check (list int)) "combiner" [ 2; 4 ] (Mtbdd.terminals sum);
   match Mtbdd.find_terminal m 2 with
@@ -213,9 +178,6 @@ let () =
           qt prop_eval_agrees;
           qt prop_canonical;
           qt prop_de_morgan;
-          qt prop_exists;
-          qt prop_any_sat;
-          qt prop_sat_count;
         ] );
       ( "mtbdd",
         [

@@ -5,10 +5,9 @@
    {!Validate.render} of {!Analysis.render_race}, the single rendering
    shared by [retreet race], [retreet batch] and the daemon, so these
    goldens cover the presentation contract as well as the solver.  Three
-   cheap equivalence pairs (the paper's E1, E2, E4) are pinned the same
-   way, through {!Analysis.render_equiv}, with the Table 1 block maps of
-   {!Programs} ([size_counting_map], [tree_mutation_map]; E5 and E6 use
-   [css_minification_map] and [cycletree_map]).  A solver change that
+   cheap equivalence queries of Table 1 (E1, E2, E4, taken by id from
+   {!Programs.table1}) are pinned the same way, through
+   {!Analysis.render_equiv}.  A solver change that
    flips any of these verdicts, or degrades one to Unknown under the
    generous budget below, fails loudly here instead of surfacing
    downstream. *)
@@ -50,35 +49,43 @@ let test_race_goldens () =
            (Validate.check_data_race ~level:Validate.Witness ~budget info)))
     race_table
 
+let row id = List.find (fun (r : Programs.row) -> r.id = id) Programs.table1
+
+let run_query (q : Programs.query) =
+  match q with
+  | Race src -> ignore (Analysis.check_data_race (Programs.load src))
+  | Equiv (p, p', map) ->
+    ignore
+      (Analysis.check_equivalence (Programs.load p) (Programs.load p') ~map)
+
 let equiv_table =
   [
-    ("E1 size_counting fusion", Programs.size_counting_seq,
-     Programs.size_counting_fused, Programs.size_counting_map,
+    ("E1 size_counting fusion", "E1",
      ("equivalent (bisimulation with 7 call pairs)", 0));
-    ("E2 invalid fusion", Programs.size_counting_seq,
-     Programs.size_counting_fused_invalid, Programs.size_counting_map,
-     ("NOT equivalent", 1));
-    ("E4 tree_mutation fusion", Programs.tree_mutation_seq,
-     Programs.tree_mutation_fused, Programs.tree_mutation_map,
+    ("E2 invalid fusion", "E2", ("NOT equivalent", 1));
+    ("E4 tree_mutation fusion", "E4",
      ("equivalent (bisimulation with 7 call pairs)", 0));
   ]
 
 let test_equiv_goldens () =
   List.iter
-    (fun (name, seq, fused, map, expect) ->
-      let p = Programs.load seq and p' = Programs.load fused in
-      let verdict, report =
-        Validate.check_equivalence ~level:Validate.Witness ~budget p p' ~map
-      in
-      (* every check ran and passed: the E2 counterexample replayed *)
-      if
-        List.exists
-          (fun (c : Validate.check) -> c.status <> Validate.Passed)
-          report.Validate.checks
-      then Alcotest.failf "%s: a validation check did not pass" name;
-      Alcotest.(check (pair string int))
-        name expect
-        (Validate.render Analysis.render_equiv (verdict, report)))
+    (fun (name, id, expect) ->
+      match (row id).query with
+      | Race _ -> Alcotest.failf "%s: %s is not an equivalence" name id
+      | Equiv (seq, fused, map) ->
+        let p = Programs.load seq and p' = Programs.load fused in
+        let verdict, report =
+          Validate.check_equivalence ~level:Validate.Witness ~budget p p' ~map
+        in
+        (* every check ran and passed: the E2 counterexample replayed *)
+        if
+          List.exists
+            (fun (c : Validate.check) -> c.status <> Validate.Passed)
+            report.Validate.checks
+        then Alcotest.failf "%s: a validation check did not pass" name;
+        Alcotest.(check (pair string int))
+          name expect
+          (Validate.render Analysis.render_equiv (verdict, report)))
     equiv_table
 
 (* Deterministic meters of three queries on cold solver state: the fresh
@@ -88,23 +95,16 @@ let test_equiv_goldens () =
    numbering builds other diagrams), or when the compile cache serves
    more or fewer subformulas, even if every verdict stays the same. *)
 let meters_table =
-  let race src () = ignore (Analysis.check_data_race (Programs.load src)) in
   [
-    ( "E2 size_counting invalid fusion",
-      (fun () ->
-        ignore
-          (Analysis.check_equivalence
-             (Programs.load Programs.size_counting_seq)
-             (Programs.load Programs.size_counting_fused_invalid)
-             ~map:Programs.size_counting_map)),
-      (66_274, 9_877) );
-    ("E3 size_counting", race Programs.size_counting, (33_620, 4_992));
-    ("E7 cycletree_par", race Programs.cycletree_par, (10_045, 2_346));
+    ("E2 size_counting invalid fusion", "E2", (66_274, 9_877));
+    ("E3 size_counting", "E3", (33_620, 4_992));
+    ("E7 cycletree_par", "E7", (10_045, 2_346));
   ]
 
 let test_meters () =
   List.iter
-    (fun (name, query, expect) ->
+    (fun (name, id, expect) ->
+      let query () = run_query (row id).query in
       let _, usage = Solver_ctx.with_fresh (fun () -> Engine.metered query) in
       Alcotest.(check (pair int int))
         name expect

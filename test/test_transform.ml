@@ -61,9 +61,41 @@ let test_fuse_rejects_bad_shapes () =
   (* wrong call order in Main *)
   reject Programs.tree_mutation_seq [ "IncrmLeft"; "Swap" ]
 
+(* Replace the sequential composition of [Main]'s traversal calls by a
+   parallel composition (the parallelization the paper checks for races).
+   All top-level calls of [Main] become parallel arms; trailing non-call
+   blocks stay sequenced after them.  The bundled [cycletree_par] is the
+   hand-written result for the cycletree case study. *)
+let parallelize_main (prog : Ast.prog) : (Ast.prog, string) result =
+  let main = Ast.main_func prog in
+  let rec split = function
+    | Ast.SSeq (a, b) ->
+      Result.bind (split a) (fun (ca, ra) ->
+          Result.bind (split b) (fun (cb, rb) -> Ok (ca @ cb, ra @ rb)))
+    | Ast.SBlock (_, Ast.Call _) as s -> Ok ([ s ], [])
+    | Ast.SBlock (_, Ast.Straight _) as s -> Ok ([], [ s ])
+    | _ -> Error "Main has an unsupported shape for parallelization"
+  in
+  Result.bind (split main.body) @@ fun (calls, rest) ->
+  match calls with
+  | [] | [ _ ] -> Error "Main performs fewer than two traversal calls"
+  | c :: cs ->
+    let par = List.fold_left (fun acc s -> Ast.SPar (acc, s)) c cs in
+    let body =
+      List.fold_left (fun acc s -> Ast.SSeq (acc, s)) par rest
+    in
+    let main' = { main with Ast.body = body } in
+    Ok
+      {
+        Ast.funcs =
+          List.map
+            (fun (f : Ast.func) -> if f.fname = "Main" then main' else f)
+            prog.funcs;
+      }
+
 let test_parallelize () =
   let p = Programs.load Programs.cycletree_seq in
-  match Transform.parallelize_main p.prog with
+  match parallelize_main p.prog with
   | Error e -> Alcotest.failf "parallelize: %s" e
   | Ok prog' ->
     let par = Wf.check_exn prog' in
