@@ -796,17 +796,16 @@ let baseline_cmd =
   let run verbose file a b =
     setup_logs verbose;
     let info = load_source file in
-    let unknown f = Ast.find_func info.prog f = None in
-    match List.find_opt unknown [ a; b ] with
-    | Some f ->
+    match Baseline.can_fuse info.prog a b with
+    | verdict ->
+      Fmt.pr "coarse baseline: fuse %s and %s: %a@." a b Baseline.pp_verdict
+        verdict;
+      0
+    | exception Baseline.Unknown_traversal f ->
       Fmt.epr "unknown traversal %s; the program's functions: %s@." f
         (String.concat ", "
            (List.map (fun (fn : Ast.func) -> fn.fname) info.prog.funcs));
       2
-    | None ->
-      Fmt.pr "coarse baseline: fuse %s and %s: %a@." a b Baseline.pp_verdict
-        (Baseline.can_fuse info.prog a b);
-      0
   in
   Cmd.v
     (Cmd.info "baseline" ~exits

@@ -22,6 +22,16 @@ let pp_verdict ppf = function
   | Rejected f -> Fmt.pf ppf "rejected (conflict on field %s)" f
   | Unsupported why -> Fmt.pf ppf "unsupported (%s)" why
 
+exception Unknown_traversal of string
+
+(* The function a traversal name denotes.  An unknown name is an error:
+   read as a traversal with no accesses, it would make any transformation
+   look legal. *)
+let func (prog : Ast.prog) (name : string) : Ast.func =
+  match Ast.find_func prog name with
+  | Some fn -> fn
+  | None -> raise (Unknown_traversal name)
+
 (* Transitive callees of a function. *)
 let callees_of (prog : Ast.prog) (name : string) : string list =
   let rec walk_stmt acc = function
@@ -35,14 +45,7 @@ let callees_of (prog : Ast.prog) (name : string) : string list =
     | [] -> seen
     | f :: rest ->
       if List.mem f seen then close seen rest
-      else begin
-        let direct =
-          match Ast.find_func prog f with
-          | Some fn -> walk_stmt [] fn.body
-          | None -> []
-        in
-        close (f :: seen) (direct @ rest)
-      end
+      else close (f :: seen) (walk_stmt [] (func prog f).body @ rest)
   in
   close [] [ name ]
 
@@ -79,12 +82,7 @@ let field_sets (prog : Ast.prog) (name : string) :
       walk a;
       walk b
   in
-  List.iter
-    (fun f ->
-      match Ast.find_func prog f with
-      | Some fn -> walk fn.body
-      | None -> ())
-    (family prog name);
+  List.iter (fun f -> walk (func prog f).body) (family prog name);
   ( List.sort_uniq String.compare !reads,
     List.sort_uniq String.compare !writes )
 
@@ -109,7 +107,9 @@ let conflict (r1, w1) (r2, w2) : string option =
     Any shared field with a write is a (node-insensitive) dependence, which
     the baseline must conservatively refuse to reorder. *)
 let can_fuse (prog : Ast.prog) (a : string) (b : string) : verdict =
-  match (representable prog a, representable prog b) with
+  (* [a] first, so an unknown [a] is the one reported. *)
+  let ra = representable prog a in
+  match (ra, representable prog b) with
   | Error why, _ | _, Error why -> Unsupported why
   | Ok (), Ok () -> (
     match conflict (field_sets prog a) (field_sets prog b) with

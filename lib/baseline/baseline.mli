@@ -15,6 +15,10 @@ type verdict =
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
+exception Unknown_traversal of string
+(** Raised, with the name, by every function below when a traversal name
+    is not a function of the program. *)
+
 val family : Ast.prog -> string -> string list
 (** The traversal family rooted at a function: itself plus every function
     it can transitively call, sorted. *)
@@ -23,7 +27,8 @@ val field_sets : Ast.prog -> string -> string list * string list
 (** Field (reads, writes) of a whole traversal family, node-insensitive. *)
 
 val can_fuse : Ast.prog -> string -> string -> verdict
-(** May the two traversals be fused, according to the coarse analysis? *)
+(** May the two traversals be fused, according to the coarse analysis?
+    When both names are unknown, the first is the one reported. *)
 
 val can_parallelize : Ast.prog -> string -> string -> verdict
 (** May the two traversals run in parallel?  Same criterion. *)

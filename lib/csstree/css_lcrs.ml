@@ -93,8 +93,6 @@ let rec to_lcrs (t : ntree) ~(siblings : ntree list) : Heap.tree =
 let lcrs_of_stylesheet (s : Css_ast.stylesheet) : Heap.tree =
   to_lcrs (of_stylesheet s) ~siblings:[]
 
-(** Number of positions in the binarized document. *)
-
 (** Sum of the abstract [value] sizes over the binarized document — the
     quantity the abstract (Retreet-level) minification passes reduce;
     compare before and after interpreting the verified traversal. *)

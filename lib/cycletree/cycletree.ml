@@ -187,9 +187,6 @@ let cycle_edges (t : Heap.tree) : (Ast.dir list * Ast.dir list) list =
            (p, q))
     |> List.filter (fun (p, q) -> tree_distance p q > 1)
 
-(** Every consecutive pair in the cyclic order is within the given tree
-    distance; ordinary cycletrees keep consecutive nodes very close. *)
-
 (** Total number of communication links (tree edges plus cycle edges) —
     the quantity the cycletree papers bound by roughly [4n/3]. *)
 let edge_count (t : Heap.tree) : int =

@@ -151,6 +151,16 @@ let test_baseline_field_sets () =
   Alcotest.(check bool) "modes are one family" true
     (List.mem "PostMode" fam && List.mem "InMode" fam)
 
+let test_baseline_unknown_traversal () =
+  (* a name that is not a function is an error, not an empty traversal *)
+  let p = Programs.load Programs.size_counting_seq in
+  Alcotest.check_raises "first unknown name" (Baseline.Unknown_traversal "Nope")
+    (fun () -> ignore (Baseline.can_fuse p.prog "Nope" "Nada"));
+  Alcotest.check_raises "second name" (Baseline.Unknown_traversal "Nada")
+    (fun () -> ignore (Baseline.can_parallelize p.prog "Odd" "Nada"));
+  Alcotest.check_raises "field sets" (Baseline.Unknown_traversal "Nope")
+    (fun () -> ignore (Baseline.field_sets p.prog "Nope"))
+
 (* --- n-ary traversal compilation (Nary) --- *)
 
 let test_nary_css_pipeline () =
@@ -285,5 +295,7 @@ let () =
           Alcotest.test_case "cycletree unsupported" `Quick
             test_baseline_cycletree_unsupported;
           Alcotest.test_case "field sets" `Quick test_baseline_field_sets;
+          Alcotest.test_case "unknown traversal" `Quick
+            test_baseline_unknown_traversal;
         ] );
     ]

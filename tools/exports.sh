@@ -20,14 +20,12 @@
 # any whole-word occurrence of its name in another .ml/.mli of lib/,
 # bin/, bench/, examples/, benchmark/ or test/ counts as a mention,
 # comments and strings included; it is 0 otherwise.  The groups above
-# are printed as information and do not fail it.
+# are printed as information (the used group as a count only) and do
+# not fail it.
 #
-# Usage: tools/exports.sh [-v]      (-v also lists the used group)
+# Usage: tools/exports.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-verbose=0
-[ "${1:-}" = "-v" ] && verbose=1
 
 # The interfaces come first, so every exported name is known before the
 # scan meets a use of it.
@@ -35,7 +33,7 @@ mapfile -t mlis < <(ls lib/*/*.mli)
 mapfile -t rest < <(find lib bin bench examples benchmark test \
   -name _build -prune -o \( -name '*.ml' -print \) | sort)
 
-awk -v verbose="$verbose" '
+awk '
 function capital(s) { return toupper(substr(s, 1, 1)) substr(s, 2) }
 
 # The line with comments, strings and character literals blanked out.
@@ -156,7 +154,7 @@ END {
     split(vals[i], kv, SUBSEP); q = kv[1]; v = kv[2]
     t = (q in parent) ? parent[q] : q
     name = full[q, v]
-    if ((q, v) in libuse) used[++nused] = name
+    if ((q, v) in libuse) nused++
     else if ((q, v) in testuse) testonly[++ntest] = name
     else if (owncount[t, v] > 1) internal[++nint] = name
     else dead[++ndead] = name
@@ -168,7 +166,6 @@ END {
   }
   printf "exported values: %d\n", nvals
   printf "used (%d)\n", nused
-  if (verbose) for (i = 1; i <= nused; i++) print "  " used[i]
   printf "test-only (%d)\n", ntest
   for (i = 1; i <= ntest; i++) print "  " testonly[i]
   printf "internal (%d)\n", nint
