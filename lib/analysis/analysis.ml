@@ -533,14 +533,10 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
       in
       (* the dependence part alone, per program side — a cheap necessary
          condition used to filter pairs before compiling the (expensive)
-         schedule constraints *)
+         schedule constraints.  The encoder's memo returns one physical
+         formula per (side, q1, q2). *)
       let dep_side enc nsa nsb q1 q2 =
-        Mso.And
-          [
-            Encode.configuration enc nsa ~q:q1 ~x:"x1";
-            Encode.configuration enc nsb ~q:q2 ~x:"x2";
-            Encode.conflict_access enc nsa nsb ~q1 ~x1:"x1" ~q2 ~x2:"x2";
-          ]
+        Encode.dependence enc nsa nsb ~q1 ~x1:"x1" ~q2 ~x2:"x2"
       in
       let dep_env_p =
         ("x1", Mso.FO) :: ("x2", Mso.FO)
@@ -553,9 +549,10 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
       let flat_cases q1 q2 q1' q2' =
         let current1 = Some (q1, "x1") and current2 = Some (q2, "x2") in
         let current1' = Some (q1', "x1") and current2' = Some (q2', "x2") in
-        (* one query per pair of ordered-divergence cases; the dep_side
-           conjuncts are the exact subformulas the prefilter already
-           compiled, so their automata come from the cache *)
+        (* one query per pair of ordered-divergence cases; each dep_side
+           conjunct is the very formula the prefilter already compiled, so
+           its automaton comes from the cache, whose key comparison stops
+           at the shared formula *)
         let cases_p =
           Encode.ordered_cases enc ns_p1 ns_p2 ~current1 ~current2
         in
@@ -625,7 +622,8 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
       (* Escalation phase 2 — full schedule queries per surviving pair,
          with the inner tuple loop exactly as before (the prefilter
          formulas are already compiled, so re-checking them is a cache
-         hit). *)
+         hit, though each hit still walks the formula for its key and
+         searches the automaton for a witness). *)
       let solve_pair (q1, q2) =
         let found = ref None in
         List.iter

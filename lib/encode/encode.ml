@@ -34,6 +34,15 @@ type ns = { tag : string; cfg : int }
 let main_id = -1
 (** Pseudo block id for the paper's [main] record. *)
 
+(* What a memoized formula is built from: the arguments of one call. *)
+type formula_key =
+  | Configuration of ns * int * Mso.var
+  | Conflict of ns * ns * int * Mso.var * int * Mso.var
+  | Dependence of ns * ns * int * Mso.var * int * Mso.var
+
+type cases_key =
+  Blocks.order * ns * ns * (int * Mso.var) option * (int * Mso.var) option
+
 type t = {
   info : Blocks.t;
   sym : Symexec.t;
@@ -49,6 +58,10 @@ type t = {
           accesses to the same node conflict, regardless of field *)
   prune : bool;
       (** [false] = no call-graph reachability pruning (ablation) *)
+  formulas : (formula_key, Mso.formula) Hashtbl.t;
+      (** the configurations, conflicts and dependences built so far *)
+  cases : (cases_key, Mso.formula list) Hashtbl.t;
+      (** the divergence cases built so far *)
 }
 
 (** Build the encoder state.
@@ -106,7 +119,26 @@ let make ?(field_sensitive = true) ?(prune = true) (info : Blocks.t) : t =
       (fun f -> (f, List.filter (Blocks.func_reaches info f) funcs))
       funcs
   in
-  { info; sym; rw; arith_conds; consistent; reaches; field_sensitive; prune }
+  { info; sym; rw; arith_conds; consistent; reaches; field_sensitive; prune;
+    formulas = Hashtbl.create 64; cases = Hashtbl.create 64 }
+
+let consistent t fname = List.assoc fname t.consistent
+
+(* The formula [build] returns, built once per key.  A query asks for the
+   same configurations, conflicts and divergence cases once per block pair
+   and image tuple; a repeated call gets the very formula the first one
+   built, so the compile cache confirms its hit by physical equality.
+   Builds are pure and tick no step, so sharing them changes no compile,
+   node or step; an entry is added only once its build has returned.  The
+   encoder belongs to one query, so the tables are never shared between
+   domains. *)
+let memo tbl key build =
+  match Hashtbl.find_opt tbl key with
+  | Some f -> f
+  | None ->
+    let f = build () in
+    Hashtbl.add tbl key f;
+    f
 
 (* Call-graph reachability, read from the table built by [make]: in a
    valid configuration with current block [q], every labeled call chain
@@ -261,6 +293,7 @@ let all_call_ids t = main_id :: Blocks.all_calls t.info
     valid (abstracted) configuration whose current record runs non-call
     block [q] on node [x]. *)
 let configuration t ns ~q ~x : Mso.formula =
+  memo t.formulas (Configuration (ns, q, x)) @@ fun () ->
   let u = "u" in
   let current = Some (q, x) in
   (* Only calls whose chains can reach the current record may be labeled:
@@ -472,6 +505,7 @@ let divergence_triples t (rel : Blocks.order) =
    compiled once.  The raw [Or] constructor is used to prevent the smart
    constructor from flattening the groups away. *)
 let divergence_cases t ns1 ns2 ~current1 ~current2 rel : Mso.formula list =
+  memo t.cases (rel, ns1, ns2, current1, current2) @@ fun () ->
   let z = "z" in
   let target c =
     match c with
@@ -542,6 +576,7 @@ let parallel_cases t ns1 ns2 ~current1 ~current2 : Mso.formula list =
     [ns1] and [(q2, x2)] of [ns2]: some location is accessed by both, at
     least one access being a write. *)
 let conflict_access t ns1 ns2 ~q1 ~x1 ~q2 ~x2 : Mso.formula =
+  memo t.formulas (Conflict (ns1, ns2, q1, x1, q2, x2)) @@ fun () ->
   let a1 = access_of t q1 and a2 = access_of t q2 in
   let fields l =
     List.filter_map (function Rw.SField (p, f) -> Some (p, f) | _ -> None) l
@@ -666,6 +701,17 @@ let conflict_access t ns1 ns2 ~q1 ~x1 ~q2 ~x2 : Mso.formula =
         (Blocks.callers_of t.info q1)
   in
   Mso.or_l (field_conflicts @ var_conflicts @ ret_conflicts @ ret_ret)
+
+(** [Dependence]: both configurations are valid and their current records
+    conflict. *)
+let dependence t ns1 ns2 ~q1 ~x1 ~q2 ~x2 : Mso.formula =
+  memo t.formulas (Dependence (ns1, ns2, q1, x1, q2, x2)) @@ fun () ->
+  Mso.And
+    [
+      configuration t ns1 ~q:q1 ~x:x1;
+      configuration t ns2 ~q:q2 ~x:x2;
+      conflict_access t ns1 ns2 ~q1 ~x1 ~q2 ~x2;
+    ]
 
 (** Can the pair possibly conflict at all?  A cheap static prefilter. *)
 let may_conflict t q1 q2 : bool =

@@ -25,19 +25,13 @@ type ns = { tag : string; cfg : int }
 val main_id : int
 (** Pseudo block id ([-1]) for the paper's [main] record. *)
 
-type t = {
-  info : Blocks.t;
-  sym : Symexec.t;
-  rw : (int * Rw.access) list;
-  arith_conds : int list;
-  consistent : (string * (int * bool) list list) list;
-      (** the paper's ConsistentCondSet, per function *)
-  reaches : (string * string list) list;
-      (** per function [f]: every [g] with [Blocks.func_reaches info f g],
-          tabulated once so queries only read it *)
-  field_sensitive : bool;
-  prune : bool;
-}
+type t
+(** The encoder of one program for one query: its block tables, and a
+    memo of the formulas built so far.  {!configuration},
+    {!ordered_cases}, {!parallel_cases}, {!conflict_access} and
+    {!dependence} build their result on the first call with given
+    arguments and return that same (physically equal) value on every
+    later one. *)
 
 val make : ?field_sensitive:bool -> ?prune:bool -> Blocks.t -> t
 (** Build the encoder state.
@@ -45,6 +39,11 @@ val make : ?field_sensitive:bool -> ?prune:bool -> Blocks.t -> t
            (default [true]; [false] is the paper's node granularity)
     @param prune force labels of calls that cannot reach the current
            record to be empty (default [true]; [false] for ablations) *)
+
+val consistent : t -> string -> (int * bool) list list
+(** The paper's ConsistentCondSet of a function: every truth assignment
+    to its arithmetic conditions whose weakest preconditions are jointly
+    satisfiable.  @raise Not_found if the program has no such function. *)
 
 (** {1 Label variables} *)
 
@@ -94,6 +93,12 @@ val conflict_access :
   t -> ns -> ns -> q1:int -> x1:Mso.var -> q2:int -> x2:Mso.var -> Mso.formula
 (** The current records of the two configurations access a common
     location, at least one writing. *)
+
+val dependence :
+  t -> ns -> ns -> q1:int -> x1:Mso.var -> q2:int -> x2:Mso.var -> Mso.formula
+(** [Dependence]: both namespaces describe valid configurations, and their
+    current records conflict ({!configuration} twice and
+    {!conflict_access}, conjoined). *)
 
 val may_conflict : t -> int -> int -> bool
 (** Cheap static prefilter: is the conflict formula non-trivial? *)

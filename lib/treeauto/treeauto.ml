@@ -403,7 +403,9 @@ end)
 
 let project v a =
  if a.nstates > 60 then Log.debug (fun m -> m "start project: %d states" a.nstates);
- timed "project" @@ fun () ->
+ (* [minimize] times itself, so it runs outside the "project" region:
+    its time is counted once *)
+ let result = timed "project" @@ fun () ->
   (* State sets are hash-consed into integer codes: [sets.(c)] is the set
      of code [c]. *)
   let set_ids = Set_tbl.create 64 in
@@ -474,8 +476,9 @@ let project v a =
       (Mtbdd.const bottom) s1
   in
   let accept c = List.exists (fun q -> a.accept.(q)) (set_of c) in
-  let result = explore ~leaf ~delta ~accept in
-  observed "project" (minimize result)
+  explore ~leaf ~delta ~accept
+ in
+ observed "project" (minimize result)
 
 (* ------------------------------------------------------------------ *)
 (* Track renaming                                                       *)

@@ -205,7 +205,7 @@ Main(n) { m: F(n, 3); mret: return }
   in
   let info = Programs.load src in
   let enc = Encode.make info in
-  let assignments = List.assoc "F" enc.consistent in
+  let assignments = Encode.consistent enc "F" in
   (* conditions: k > 0 (c1) and k - 5 > 0 (c2); the assignment c2 ∧ ¬c1 is
      inconsistent (k > 5 implies k > 0), so only 3 of 4 survive *)
   Alcotest.(check int) "three consistent assignments" 3
@@ -227,6 +227,67 @@ Main(n) { m: F(n, 3); mret: return }
       | _ -> ())
     assignments
 
+(* The encoder's memo: a repeated call returns the very formula the first
+   one built, and that formula is the one a fresh encoder builds for the
+   same arguments.  The calls are those the race and equivalence queries
+   make for every dependent block pair of every bundled program, under
+   both programs' namespace pairs (one also reversed, as the equivalence
+   query orders the transformed program's cases), one pair that mixes
+   them, and with the current nodes either way round: a memo key that
+   dropped a namespace or a node would hand one of them a formula built
+   for another.  Each fresh encoder serves one namespace pair and node
+   order, so no two of its calls differ only there. *)
+let ns_q1 = { Encode.tag = "'"; cfg = 1 }
+let ns_q2 = { Encode.tag = "'"; cfg = 2 }
+
+let test_memo () =
+  List.iter
+    (fun (name, src) ->
+      let info = Programs.load src in
+      let enc = Encode.make info in
+      let noncalls = Blocks.all_noncalls info in
+      let pairs =
+        List.concat_map
+          (fun q1 ->
+            List.filter_map
+              (fun q2 ->
+                if Encode.may_conflict enc q1 q2 then Some (q1, q2) else None)
+              noncalls)
+          noncalls
+      in
+      List.iter
+        (fun (na, nb) ->
+          List.iter
+            (fun (xa, xb) ->
+              let fresh = Encode.make info in
+              let check what build =
+                let f = build enc in
+                if build enc != f then
+                  Alcotest.failf "%s: a repeated %s was built again" name what;
+                if f <> build fresh then
+                  Alcotest.failf "%s: %s differs from a fresh encoder's" name
+                    what
+              in
+              List.iter
+                (fun (q1, q2) ->
+                  let current1 = Some (q1, xa) and current2 = Some (q2, xb) in
+                  check "configuration" (fun e ->
+                      Encode.configuration e na ~q:q1 ~x:xa);
+                  check "configuration" (fun e ->
+                      Encode.configuration e nb ~q:q2 ~x:xb);
+                  check "conflict" (fun e ->
+                      Encode.conflict_access e na nb ~q1 ~x1:xa ~q2 ~x2:xb);
+                  check "dependence" (fun e ->
+                      Encode.dependence e na nb ~q1 ~x1:xa ~q2 ~x2:xb);
+                  check "ordered cases" (fun e ->
+                      Encode.ordered_cases e na nb ~current1 ~current2);
+                  check "parallel cases" (fun e ->
+                      Encode.parallel_cases e na nb ~current1 ~current2))
+                pairs)
+            [ ("x1", "x2"); ("x2", "x1") ])
+        [ (ns1, ns2); (ns_q1, ns_q2); (ns_q2, ns_q1); (ns1, ns_q2) ])
+    Programs.all_named
+
 let () =
   Alcotest.run "encode"
     [
@@ -247,4 +308,7 @@ let () =
       ( "conditions",
         [ Alcotest.test_case "consistent sets" `Quick
             test_consistent_cond_sets ] );
+      ( "memo",
+        [ Alcotest.test_case "built once per encoder"
+            `Quick test_memo ] );
     ]
