@@ -606,6 +606,8 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
         else `Work
       in
       let nclassify = List.length pairs in
+      (* each surviving pair, with whether its P-side dependence is
+         already known satisfiable (not so if its prefilter ran out) *)
       let _, ncheap, work =
         List.fold_left
           (fun (i, ncheap, work) pair ->
@@ -614,17 +616,33 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
             in
             match Engine.with_budget slice (fun () -> classify pair) with
             | Ok `Cheap -> (i + 1, ncheap + 1, work)
-            | Ok `Work -> (i + 1, ncheap, pair :: work)
-            | Error _ -> (i + 1, ncheap, pair :: work))
+            | Ok `Work -> (i + 1, ncheap, (pair, true) :: work)
+            | Error _ -> (i + 1, ncheap, (pair, false) :: work))
           (0, 0, []) pairs
       in
       let work = List.rev work in
+      (* Each P'-side dependence is decided once per query, on the first
+         pair that needs it; a decision cut by the budget is not kept. *)
+      let dep_p' = Hashtbl.create 16 in
+      let dep_sat_p' q1' q2' =
+        match Hashtbl.find_opt dep_p' (q1', q2') with
+        | Some sat -> sat
+        | None ->
+          let sat =
+            Mso.satisfiable dep_env_p' (dep_side enc' ns_q1 ns_q2 q1' q2')
+          in
+          Hashtbl.add dep_p' (q1', q2') sat;
+          sat
+      in
       (* Escalation phase 2 — full schedule queries per surviving pair,
-         with the inner tuple loop exactly as before (the prefilter
-         formulas are already compiled, so re-checking them is a cache
-         hit, though each hit still walks the formula for its key and
-         searches the automaton for a witness). *)
-      let solve_pair (q1, q2) =
+         over its image tuples.  The P-side dependence is decided at most
+         once per pair, and only if the prefilter did not decide it. *)
+      let solve_pair ((q1, q2), dep_known) =
+        let dep_sat_p =
+          if dep_known then lazy true
+          else
+            lazy (Mso.satisfiable dep_env_p (dep_side enc ns_p1 ns_p2 q1 q2))
+        in
         let found = ref None in
         List.iter
           (fun q1' ->
@@ -633,10 +651,8 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
                 if
                   !found = None
                   && Encode.may_conflict enc' q1' q2'
-                  && Mso.satisfiable dep_env_p
-                       (dep_side enc ns_p1 ns_p2 q1 q2)
-                  && Mso.satisfiable dep_env_p'
-                       (dep_side enc' ns_q1 ns_q2 q1' q2')
+                  && Lazy.force dep_sat_p
+                  && dep_sat_p' q1' q2'
                 then begin
                   on_pair q1 q2;
                   Log.info (fun m ->

@@ -112,10 +112,27 @@ let free_vars f = VSet.elements (fv f)
 (* ------------------------------------------------------------------ *)
 (* Atom automata.
 
-   Every first-order atom below assumes its first-order tracks are
-   singletons on accepted trees; the compiler conjoins [Sing] at each
-   first-order quantifier, and [solve] does so for free variables, so the
-   assumption always holds where it matters. *)
+   Each atom is compiled restricted to the assignments under which every
+   first-order variable it reads (declared [FO], or bound by [Exists1] or
+   [Forall1]) is a singleton: it rejects any other assignment.  So no
+   automaton built from atoms tracks a set-valued first-order variable,
+   and products of atoms over the same position stay small.  A position
+   argument (the element of [Mem], both arguments of [LeftOf], [RightOf]
+   and [Reach], the argument of [Root] and [IsNil], the [z] of
+   [AgreeAbove]) is restricted whatever its kind, as [eval] reads it; a
+   set argument only when its variable is first-order.  Each restricted
+   atom is one construction ([auto_point], [auto_below]).
+
+   Invariant: on every assignment under which the first-order free
+   variables of a subformula are singletons, its automaton accepts
+   exactly when the subformula holds; elsewhere an atom rejects and its
+   complement accepts.  The quantifiers [Exists1] and [Forall1] range
+   over singletons, and [compile] conjoins [Sing] for every declared
+   first-order variable, so the automaton [compile] returns accepts
+   exactly the models of its formula.  Where every position argument is
+   first-order, as in every formula [Encode] builds, that is the
+   language the atoms gave when they read each track as a set, so no
+   verdict depends on the restriction. *)
 
 let bits2 x y f =
   [
@@ -135,12 +152,6 @@ let local_all g =
       if q1 = 0 && q2 = 0 then [ (g, 0); (Bdd.top, 1) ] else [ (Bdd.top, 1) ])
     ~accept:(fun q -> q = 0)
 
-let auto_sub i j = local_all (Bdd.imp (Bdd.var i) (Bdd.var j))
-let auto_eqset i j = local_all (Bdd.iff (Bdd.var i) (Bdd.var j))
-let auto_empty i = local_all (Bdd.nvar i)
-let auto_mem i j = local_all (Bdd.imp (Bdd.var i) (Bdd.var j))
-let auto_eqpos i j = local_all (Bdd.iff (Bdd.var i) (Bdd.var j))
-
 (* Exactly one position carries track [i]: states count occurrences 0/1/2+. *)
 let auto_sing i =
   Treeauto.make ~nstates:3
@@ -150,85 +161,45 @@ let auto_sing i =
       bits1 i (fun b -> if b then min 2 (n + 1) else n))
     ~accept:(fun q -> q = 1)
 
-(* The position of [i] is the root: 0 = unseen, 1 = i is the subtree root,
-   2 = i strictly inside. *)
-let auto_root i =
-  Treeauto.make ~nstates:3
-    ~leaf:(bits1 i (fun b -> if b then 1 else 0))
+(* The tracks [xs], each a singleton, all mark one and the same position
+   p: p satisfies [leaf] if it is a leaf and [node] if not, each strict
+   ancestor of p satisfies [above], and every other position [other].
+   States: 0 = p not in the subtree, 1 = p in it, 2 = refuted. *)
+let auto_point xs ~leaf ~node ~above ~other =
+  let all = Bdd.conj_list (List.map Bdd.var xs) in
+  let some = List.fold_left (fun g x -> Bdd.disj g (Bdd.var x)) Bdd.bot xs in
+  let at g = [ (Bdd.conj all g, 1); (some, 2); (other, 0); (Bdd.top, 2) ] in
+  Treeauto.make ~nstates:3 ~leaf:(at leaf)
     ~delta:(fun q1 q2 ->
-      bits1 i (fun b -> if b then 1 else if q1 >= 1 || q2 >= 1 then 2 else 0))
+      match (q1, q2) with
+      | 0, 0 -> at node
+      | 1, 0 | 0, 1 -> [ (some, 2); (above, 1); (Bdd.top, 2) ]
+      | _ -> [ (Bdd.top, 2) ])
     ~accept:(fun q -> q = 1)
 
-(* The position of [i] is a leaf: 0 = unseen, 1 = seen at leaf, 2 = seen at
-   an internal position. *)
-let auto_isnil i =
-  Treeauto.make ~nstates:3
-    ~leaf:(bits1 i (fun b -> if b then 1 else 0))
-    ~delta:(fun q1 q2 ->
-      bits1 i (fun b -> if b then 2 else max q1 q2))
-    ~accept:(fun q -> q = 1)
-
-(* y = left(x) (resp. right).  States: 0 = nothing seen, 1 = y is the root
-   of the processed subtree, 2 = y strictly inside, 3 = relation
-   established, 4 = relation refuted. *)
-let auto_child ~left x y =
-  Treeauto.make ~nstates:5
-    ~leaf:
-      (bits2 x y (fun bx by ->
-           if bx then 4 else if by then 1 else 0))
-    ~delta:(fun ql qr ->
-      bits2 x y (fun bx by ->
-          if ql = 4 || qr = 4 then 4
-          else if ql = 3 || qr = 3 then 3
-          else if bx then begin
-            let child = if left then ql else qr in
-            let other = if left then qr else ql in
-            if (not by) && child = 1 && other = 0 then 3 else 4
-          end
-          else if by then 1
-          else if ql >= 1 || qr >= 1 then 2
-          else 0))
-    ~accept:(fun q -> q = 3)
-
-(* reach(x, y): x is an ancestor of y, or x = y.  States: 0 = none seen,
-   1 = y seen, 2 = established, 3 = refuted. *)
-let auto_reach x y =
-  Treeauto.make ~nstates:4
-    ~leaf:
-      (bits2 x y (fun bx by ->
-           if bx && by then 2 else if bx then 3 else if by then 1 else 0))
-    ~delta:(fun ql qr ->
-      bits2 x y (fun bx by ->
-          if ql = 2 || qr = 2 then 2
-          else if ql = 3 || qr = 3 then 3
-          else begin
-            let y_below = by || ql = 1 || qr = 1 in
-            if bx then if y_below then 2 else 3
-            else if y_below then 1
-            else 0
-          end))
-    ~accept:(fun q -> q = 2)
-
-(* All ancestors of the position of [z] (including it) satisfy the label
-   agreement guard.  States: 0 = z unseen, 1 = z seen and every node from z
-   to the subtree root satisfies the guard, 2 = violated. *)
-let auto_agree_above z strict incl =
-  let guard ps =
-    Bdd.conj_list
-      (List.map (fun (a, b) -> Bdd.iff (Bdd.var a) (Bdd.var b)) ps)
-  in
-  let g_incl = guard incl in
-  let g_above = Bdd.conj (guard strict) g_incl in
+(* Position [y] below position [x]: with [~child:(Some left)], y is
+   the left (right) child of x; with [~child:None], x is an ancestor of
+   y or y itself.  States: 0 = neither seen, 1 = y seen and x not, 2 =
+   relation established, 3 = refuted. *)
+let auto_below ~child x y =
   let entry =
-    [ (Bdd.conj (Bdd.var z) g_incl, 1); (Bdd.var z, 2); (Bdd.top, 0) ]
+    bits2 x y (fun bx by ->
+        if bx && by && child = None then 2
+        else if bx then 3
+        else if by then 1
+        else 0)
   in
-  Treeauto.make ~nstates:3 ~leaf:entry
-    ~delta:(fun q1 q2 ->
-      match max q1 q2 with
-      | 2 -> [ (Bdd.top, 2) ]
-      | 1 -> [ (g_above, 1); (Bdd.top, 2) ]
-      | _ -> entry)
-    ~accept:(fun q -> q = 1)
+  Treeauto.make ~nstates:4 ~leaf:entry
+    ~delta:(fun ql qr ->
+      match (ql, qr, child) with
+      | 0, 0, _ -> entry
+      | 1, 0, (None | Some true) | 0, 1, (None | Some false) ->
+        bits2 x y (fun bx by ->
+            if by then 3 else if bx then 2 else if child = None then 1 else 3)
+      | 2, 0, _ | 0, 2, _ ->
+        bits2 x y (fun bx by -> if bx || by then 3 else 2)
+      | _ -> [ (Bdd.top, 3) ])
+    ~accept:(fun q -> q = 2)
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -250,14 +221,18 @@ type env = (var * kind) list
    vector is served by renaming a stored automaton through the strictly
    increasing map between the two vectors ({!Treeauto.rename}), which
    yields, node for node, the automaton a fresh compile would build.
+   The kinds of the free variables, in rank order, are part of the key:
+   an atom compiles differently over a first-order variable (restricted
+   to singletons) than over a second-order one, so the automaton of one
+   must never be renamed onto the other.
 
    The cache lives in the current solver context: cached automata hold
    diagrams hash-consed in that context, so sharing them across contexts
    (or domains) would break physical equality. *)
 
 (* A subformula with its free variables in track order: [names.(r)] has
-   the [r]-th smallest track. *)
-type key = { hash : int; f : formula; names : var array }
+   the [r]-th smallest track and [kinds.(r)] is its kind. *)
+type key = { hash : int; f : formula; names : var array; kinds : kind array }
 
 (* The canonical number of an occurrence of [v] under the binders [bound]
    (innermost first): -1 - (de Bruijn index) if bound, else its rank. *)
@@ -307,6 +282,7 @@ let alpha_equal k1 k2 =
     | _ -> false
   in
   Array.length n1 = Array.length n2
+  && k1.kinds = k2.kinds
   && ((Array.for_all2 String.equal n1 n2 && compare k1.f k2.f = 0)
      || eq [] [] k1.f k2.f)
 
@@ -333,20 +309,28 @@ let cache () = Solver_ctx.get_current cache_slot
    outlive an arm/disarm transition. *)
 let () = Faults.on_flush (fun () -> Cache.reset (cache ()))
 
-(* The track of [v] under [tenv]: its first binding is in effect.
+(* The compiler's environment: each variable in scope with its track and
+   kind, innermost binding first.  The kinds travel with the compile, so
+   compiles on two domains never see each other's. *)
+type binding = { tr : int; kind : kind }
+
+(* The binding of [v] under [tenv]: its first binding is in effect.
    [compile] builds the key of its formula before compiling anything, so
    an undeclared free variable is reported from here. *)
-let track tenv v =
+let binding tenv v =
   match List.assoc_opt v tenv with
-  | Some tr -> tr
+  | Some b -> b
   | None ->
     invalid_arg (Printf.sprintf "Mso.compile: free variable %s undeclared" v)
+
+let track tenv v = (binding tenv v).tr
 
 (* The key of [f] under [tenv], and the tracks of its free variables in
    ascending order, from one walk.  The hash reads the whole formula,
    with each bound variable numbered by its de Bruijn index and each free
    one by its first occurrence, and then the order of the free
-   variables' tracks: both numberings are alpha-invariant. *)
+   variables' tracks and their kinds in that order: both numberings are
+   alpha-invariant. *)
 let key_of tenv f =
   let first = Hashtbl.create 16 and free = ref [] in
   let h = ref 0 in
@@ -359,7 +343,7 @@ let key_of tenv f =
       | None ->
         let k = Hashtbl.length first in
         Hashtbl.add first v k;
-        free := (v, track tenv v) :: !free;
+        free := (v, binding tenv v) :: !free;
         k)
   in
   let var bound v = mix (index 0 v bound) in
@@ -405,10 +389,15 @@ let key_of tenv f =
   walk [] f;
   let free = Array.of_list (List.rev !free) in
   let by_rank = Array.init (Array.length free) Fun.id in
-  Array.sort (fun k k' -> Int.compare (snd free.(k)) (snd free.(k'))) by_rank;
+  Array.sort
+    (fun k k' -> Int.compare (snd free.(k)).tr (snd free.(k')).tr)
+    by_rank;
   Array.iter mix by_rank;
   let free = Array.map (fun k -> free.(k)) by_rank in
-  ({ hash = Hashtbl.hash !h; f; names = Array.map fst free }, Array.map snd free)
+  let kinds = Array.map (fun (_, b) -> b.kind) free in
+  Array.iter (fun k -> mix (if k = FO then 1 else 2)) kinds;
+  ( { hash = Hashtbl.hash !h; f; names = Array.map fst free; kinds },
+    Array.map (fun (_, b) -> b.tr) free )
 
 (* Under an armed [mso.projection_shift] a compiled automaton can read a
    track outside its free variables; such an automaton is not renamed. *)
@@ -465,24 +454,51 @@ let rec compile_sub tenv next f =
 
 and comp_raw tenv next f =
   let comp = compile_sub in
+  let bind x kind = (x, { tr = next; kind }) :: tenv in
   let t = track tenv in
+  let fo v = (binding tenv v).kind = FO in
+  let fo_tracks vs =
+    List.sort_uniq Int.compare (List.map t (List.filter fo vs))
+  in
+  (* Every position satisfies [g], and the tracks [xs] are singletons.
+     Two singletons related by one of these guards (inclusion or
+     equality) mark the same position, which is the one where [g] reads
+     them set. *)
+  let local g xs =
+    match List.sort_uniq Int.compare xs with
+    | [] -> local_all g
+    | xs ->
+      let at b = List.fold_left (fun g x -> Bdd.restrict g x b) g xs in
+      auto_point xs ~leaf:(at true) ~node:(at true) ~above:(at false)
+        ~other:(at false)
+  in
+  let point a = auto_point [ t a ] ~other:Bdd.top in
+  let var2 op a b = op (Bdd.var (t a)) (Bdd.var (t b)) in
+  let agreement ps =
+    Bdd.conj_list (List.map (fun (a, b) -> var2 Bdd.iff a b) ps)
+  in
     match f with
     | True -> Treeauto.const true
     | False -> Treeauto.const false
-    | Sub (a, b) -> auto_sub (t a) (t b)
-    | EqSet (a, b) -> auto_eqset (t a) (t b)
-    | EmptySet a -> auto_empty (t a)
+    | Sub (a, b) -> local (var2 Bdd.imp a b) (fo_tracks [ a; b ])
+    | Mem (a, b) -> local (var2 Bdd.imp a b) (t a :: fo_tracks [ b ])
+    | EqSet (a, b) | EqPos (a, b) ->
+      local (var2 Bdd.iff a b) (fo_tracks [ a; b ])
+    | EmptySet a -> local (Bdd.nvar (t a)) (fo_tracks [ a ])
     | Sing a -> auto_sing (t a)
-    | Mem (a, b) -> auto_mem (t a) (t b)
-    | EqPos (a, b) -> auto_eqpos (t a) (t b)
-    | LeftOf (a, b) -> auto_child ~left:true (t a) (t b)
-    | RightOf (a, b) -> auto_child ~left:false (t a) (t b)
-    | Root a -> auto_root (t a)
-    | IsNil a -> auto_isnil (t a)
-    | Reach (a, b) -> auto_reach (t a) (t b)
+    | Root a -> point a ~leaf:Bdd.top ~node:Bdd.top ~above:Bdd.bot
+    | IsNil a -> point a ~leaf:Bdd.top ~node:Bdd.bot ~above:Bdd.top
+    | LeftOf (a, b) -> auto_below ~child:(Some true) (t a) (t b)
+    | RightOf (a, b) -> auto_below ~child:(Some false) (t a) (t b)
+    | Reach (a, b) -> auto_below ~child:None (t a) (t b)
     | AgreeAbove (z, strict, incl) ->
-      let tr = List.map (fun (a, b) -> (t a, t b)) in
-      auto_agree_above (t z) (tr strict) (tr incl)
+      let at = agreement incl in
+      let above = Bdd.conj (agreement strict) at in
+      (* a first-order label variable is restricted on its own *)
+      List.fold_left
+        (fun a x -> Treeauto.minimize (Treeauto.inter (auto_sing x) a))
+        (point z ~leaf:at ~node:at ~above)
+        (fo_tracks (List.concat_map (fun (a, b) -> [ a; b ]) (strict @ incl)))
     | Not g -> Treeauto.complement (comp tenv next g)
     | And gs -> Treeauto.inter_list (List.map (comp tenv next) gs)
     | Or gs -> Treeauto.union_list (List.map (comp tenv next) gs)
@@ -508,7 +524,7 @@ and comp_raw tenv next f =
       in
       let inner =
         project_bound next
-          (comp ((x, next) :: tenv) (next + 1) (and_l dependent))
+          (comp (bind x SO) (next + 1) (and_l dependent))
       in
       Treeauto.inter_list (inner :: List.map (comp tenv next) independent)
     | Forall2 (x, And gs) ->
@@ -516,7 +532,7 @@ and comp_raw tenv next f =
     | Forall2 (x, g) ->
       Treeauto.complement
         (project_bound next
-           (Treeauto.complement (comp ((x, next) :: tenv) (next + 1) g)))
+           (Treeauto.complement (comp (bind x SO) (next + 1) g)))
     | Exists1 (x, Or gs) ->
       Treeauto.union_list (List.map (fun g -> comp tenv next (Exists1 (x, g))) gs)
     | Exists1 (x, g) ->
@@ -530,7 +546,7 @@ and comp_raw tenv next f =
         project_bound next
           (Treeauto.minimize
              (Treeauto.inter (auto_sing next)
-                (comp ((x, next) :: tenv) (next + 1) (and_l dependent))))
+                (comp (bind x FO) (next + 1) (and_l dependent))))
       in
       Treeauto.inter_list (inner :: List.map (comp tenv next) independent)
     | Forall1 (x, And gs) ->
@@ -540,16 +556,17 @@ and comp_raw tenv next f =
         (project_bound next
            (Treeauto.minimize
               (Treeauto.inter (auto_sing next)
-                 (Treeauto.complement (comp ((x, next) :: tenv) (next + 1) g)))))
+                 (Treeauto.complement (comp (bind x FO) (next + 1) g)))))
 
 let compile env formula =
-  let tenv = List.mapi (fun i (v, _) -> (v, i)) env in
+  let tenv = List.mapi (fun i (v, kind) -> (v, { tr = i; kind })) env in
   let next = List.length env in
-  (* Enforce singleton-ness of the declared first-order free variables.
-     The conjunction is built raw, not through [and_l], so it is the
-     intersection of the formula's automaton with the singleton ones, and
-     it is cached like any subformula: solving the same formula again
-     costs a lookup. *)
+  (* Enforce singleton-ness of the declared first-order free variables:
+     a variable that no atom reads, or one read only under a negation, is
+     not restricted otherwise.  The conjunction is built raw, not through
+     [and_l], so it is the intersection of the formula's automaton with
+     the singleton ones, and it is cached like any subformula: solving
+     the same formula again costs a lookup. *)
   let sings =
     List.filter_map (fun (v, k) -> if k = FO then Some (Sing v) else None) env
   in

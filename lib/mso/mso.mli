@@ -8,9 +8,17 @@
     encoding the leaves of the model are exactly the [nil] nodes.
 
     First-order variables range over tree positions and are encoded as
-    singleton second-order variables in the standard way; {!solve} conjoins
-    the singleton constraint for every declared first-order free variable
-    and every first-order quantifier. *)
+    singleton second-order variables in the standard way.  Every atom
+    that reads a first-order variable (declared [FO], or bound by
+    [Exists1]/[Forall1]) is compiled restricted to the assignments under
+    which that variable is a singleton, so no intermediate automaton
+    tracks a set-valued one.  A position argument (the element of [Mem],
+    the arguments of [LeftOf], [RightOf], [Reach], [Root] and [IsNil],
+    the [z] of [AgreeAbove]) is read as a singleton whatever its kind, as
+    {!eval} reads it.  The first-order quantifiers range over singletons,
+    and {!compile} conjoins the singleton constraint for every declared
+    first-order free variable, so the automaton of {!compile} accepts
+    exactly the models of its formula. *)
 
 type var = string
 

@@ -170,6 +170,12 @@ let equivariance_gen =
     let moved = Array.exists (( <> ) 0) pads in
     return (f, if moved then pads else [| 1; 0; 0; 0; 0 |]))
 
+(* Node-for-node equality of two automata of the current context. *)
+let same_automaton (a : Treeauto.t) (b : Treeauto.t) =
+  a.nstates = b.nstates && a.accept = b.accept
+  && Mtbdd.equal a.leaf b.leaf
+  && Array.for_all2 (Array.for_all2 Mtbdd.equal) a.delta b.delta
+
 let print_case (f, pads) =
   Fmt.str "%a with pads %a" Mona.pp_formula f Fmt.(Dump.array int) pads
 
@@ -199,10 +205,40 @@ let prop_compile_equivariant =
       Solver_ctx.with_fresh (fun () ->
           let b = compile env' f in
           let r = Treeauto.rename (fun t -> to_env'.(t)) a in
-          a_ordered && ordered ()
-          && b.nstates = r.nstates && b.accept = r.accept
-          && Mtbdd.equal b.leaf r.leaf
-          && Array.for_all2 (Array.for_all2 Mtbdd.equal) b.delta r.delta))
+          a_ordered && ordered () && same_automaton b r))
+
+(* The kinds of a subformula's free variables are part of its cache key.
+   [Sub (v, X)] compiles restricted to singletons when [v] is
+   first-order and over sets when it is second-order, so on one context
+   neither automaton may serve the alpha-equivalent request of the other
+   kind: each compile there must equal, node for node, its compile on a
+   fresh context.  Both are imported into a third context, by the
+   identity renaming, to be compared. *)
+let test_cache_keys_on_kinds () =
+  let over_fo = ([ ("x", FO); ("X", SO) ], Sub ("x", "X"))
+  and over_so = ([ ("y", SO); ("Y", SO) ], Sub ("y", "Y")) in
+  let compile_case (e, f) = compile e f in
+  List.iter
+    (fun (order, cases) ->
+      let shared = Solver_ctx.create () in
+      List.iter
+        (fun (name, case) ->
+          let a = Solver_ctx.with_ctx shared (fun () -> compile_case case) in
+          let b = Solver_ctx.with_fresh (fun () -> compile_case case) in
+          Solver_ctx.with_fresh (fun () ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s, %s" order name)
+                true
+                (same_automaton
+                   (Treeauto.rename Fun.id a)
+                   (Treeauto.rename Fun.id b))))
+        cases)
+    [
+      ("first-order first",
+       [ ("first-order", over_fo); ("second-order", over_so) ]);
+      ("second-order first",
+       [ ("second-order", over_so); ("first-order", over_fo) ]);
+    ]
 
 (* Under an armed mso.projection_shift, the quantifier of [∃q. x ≤ q]
    erases x's track instead of q's, so the compiled automaton reads a
@@ -363,6 +399,19 @@ let test_exhaustive_agreement () =
       Forall1 ("q", Imp (Mem ("q", "X"), IsNil "q"));
       Exists1 ("q", And [ LeftOf ("q", "x"); Mem ("q", "Y") ]);
       Exists1 ("q", And [ RightOf ("q", "x"); Mem ("q", "Y") ]);
+      AgreeAbove ("x", [ ("X", "Y") ], []);
+      AgreeAbove ("x", [], [ ("X", "Y") ]);
+      (* first-order variables where a set is read: each is still
+         restricted to a singleton *)
+      Sub ("x", "X"); Sub ("X", "x"); Sub ("x", "y"); EqSet ("x", "X");
+      EqSet ("x", "y"); EmptySet "x"; Sing "x"; Mem ("x", "y");
+      EqPos ("x", "X"); Not (Sub ("X", "x"));
+      AgreeAbove ("x", [ ("y", "X") ], []);
+      (* second-order variables where a position is read: false unless
+         a singleton, as [eval] reads them *)
+      Root "X"; IsNil "X"; Mem ("X", "y"); Reach ("X", "y");
+      LeftOf ("x", "Y"); Not (RightOf ("X", "y"));
+      AgreeAbove ("X", [ ("x", "y") ], []);
     ]
   in
   let mismatches = ref 0 in
@@ -420,6 +469,8 @@ let () =
       ( "cache",
         [
           qt prop_compile_equivariant;
+          Alcotest.test_case "cache keys on variable kinds" `Quick
+            test_cache_keys_on_kinds;
           Alcotest.test_case "foreign track under projection_shift" `Quick
             test_projection_shift_compiles;
         ] );
