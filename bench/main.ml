@@ -296,10 +296,8 @@ let figure_b_raw () =
   let info = Programs.load Programs.size_counting in
   let enc = Encode.make info in
   let ns1 = { Encode.tag = ""; cfg = 1 } in
-  let env =
-    ("x1", Mso.FO) :: ("x2", Mso.FO) :: Encode.label_env enc [ ns1 ]
-  in
-  let config_formula = Encode.configuration enc ns1 ~q:10 ~x:"x1" in
+  let env = Encode.query_env [ (enc, [ ns1 ]) ] in
+  let config_formula = Encode.configuration enc ns1 ~q:10 in
   let base = Mso.compile env config_formula in
   let sing = Mso.compile env (Mso.Sing "x2") in
   let tree = Heap.complete_tree ~height:6 ~init:(fun _ -> []) in

@@ -822,24 +822,8 @@ let mona_cmd =
   let run verbose file output =
     setup_logs verbose;
     let info = load_source file in
-    let enc = Encode.make info in
-    let ns1 = { Encode.tag = ""; cfg = 1 } and ns2 = { Encode.tag = ""; cfg = 2 } in
-    let noncalls = Blocks.all_noncalls info in
-    let q1 = List.hd noncalls and q2 = List.hd noncalls in
-    let current1 = Some (q1, "x1") and current2 = Some (q2, "x2") in
-    let f =
-      Mso.and_l
-        [
-          Encode.configuration enc ns1 ~q:q1 ~x:"x1";
-          Encode.configuration enc ns2 ~q:q2 ~x:"x2";
-          Encode.conflict_access enc ns1 ns2 ~q1 ~x1:"x1" ~q2 ~x2:"x2";
-          Mso.or_l
-            (Encode.parallel_cases enc ns1 ns2 ~current1 ~current2);
-        ]
-    in
-    let env =
-      ("x1", Mso.FO) :: ("x2", Mso.FO) :: Encode.label_env enc [ ns1; ns2 ]
-    in
+    let q = List.hd (Blocks.all_noncalls info) in
+    let env, f = Encode.data_race (Encode.make info) ~q1:q ~q2:q in
     Mona.write_mona ~path:output env f;
     Fmt.pr "wrote %s@." output;
     0

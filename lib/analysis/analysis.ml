@@ -73,18 +73,23 @@ let pp_progress ppf { reason; pairs_done; pairs_total } =
   Fmt.pf ppf "%a; %d/%d dependent block pairs discharged" Engine.pp_reason
     reason pairs_done pairs_total
 
-(* A Wall_clock reason escaping a per-item slice reports that slice's
-   elapsed/limit, which is meaningless to the caller; restate it against
-   the whole-query budget before it leaves the query boundary. *)
-let against_query ~budget ~t0 (r : Engine.reason) =
-  match (r.Engine.resource, budget.Engine.timeout) with
-  | Engine.Wall_clock, Some s ->
-    {
-      r with
-      Engine.used = int_of_float ((Engine.now () -. t0) *. 1000.);
-      limit = int_of_float (s *. 1000.);
-    }
-  | _ -> r
+(* The progress of a query that [r] cut short after [pairs_done] of its
+   [pairs_total] pairs.  A Wall_clock reason escaping a per-item slice
+   reports that slice's elapsed/limit, which is meaningless to the
+   caller; it is restated against the whole-query budget, started at
+   [t0], before it leaves the query boundary. *)
+let progress ~budget ~t0 (r : Engine.reason) pairs_done pairs_total =
+  let reason =
+    match (r.Engine.resource, budget.Engine.timeout) with
+    | Engine.Wall_clock, Some s ->
+      {
+        r with
+        Engine.used = int_of_float ((Engine.now () -. t0) *. 1000.);
+        limit = int_of_float (s *. 1000.);
+      }
+    | _ -> r
+  in
+  { reason; pairs_done; pairs_total }
 
 (* Escalation driver shared by the race and equivalence queries: attempt
    each work item under an equal slice of the remaining wall-clock budget
@@ -92,13 +97,9 @@ let against_query ~budget ~t0 (r : Engine.reason) =
    ran out and retry them once with the leftover budget.  The first
    counterexample wins immediately; items discharged in round one stay
    discharged (their compiled subformulas also stay cached, so retries
-   resume warm). *)
-type 'cx drive_outcome =
-  | Drive_done
-  | Drive_found of 'cx
-  | Drive_out of Engine.reason * int  (* reason, items discharged *)
-
-let drive ~budget ~deadline items solve =
+   resume warm).  A drive cut short reports the progress of its query,
+   of whose [total] pairs [ndone] were discharged before the drive. *)
+let drive ~budget ~t0 ~deadline ~ndone ~total items solve =
   let round items =
     let n = List.length items in
     let rec go i ndone failed last_reason = function
@@ -115,19 +116,45 @@ let drive ~budget ~deadline items solve =
     go 0 0 [] None items
   in
   match round items with
-  | `Hit cx -> Drive_found cx
-  | `Through (_, [], _) -> Drive_done
+  | `Hit cx -> Ok (Some cx)
+  | `Through (_, [], _) -> Ok None
   | `Through (n1, failed, r1) -> (
     match round failed with
-    | `Hit cx -> Drive_found cx
-    | `Through (_, [], _) -> Drive_done
+    | `Hit cx -> Ok (Some cx)
+    | `Through (_, [], _) -> Ok None
     | `Through (n2, _, r2) ->
       let reason =
         match (r2, r1) with
         | Some r, _ | None, Some r -> r
         | None, None -> assert false
       in
-      Drive_out (reason, n1 + n2))
+      Error (progress ~budget ~t0 reason (ndone + n1 + n2) total))
+
+(* The pairs of non-call blocks of [info] whose current records may
+   conflict (the static prefilter), in block order; with [~unordered],
+   each pair once, as [(q1, q2)] with [q1 <= q2]. *)
+let conflicting_pairs ~unordered enc info =
+  let noncalls = Blocks.all_noncalls info in
+  List.concat_map
+    (fun q1 ->
+      List.filter_map
+        (fun q2 ->
+          if ((not unordered) || q1 <= q2) && Encode.may_conflict enc q1 q2
+          then Some (q1, q2)
+          else None)
+        noncalls)
+    noncalls
+
+(* The counterexample of the block pair [(q1, q2)] from the first of
+   [cases] that has a model; no case after it is solved. *)
+let first_counterexample env (q1, q2) cases =
+  List.find_map
+    (fun f ->
+      Option.map
+        (fun (model : Mso.model) ->
+          { cx_tree = model.tree; cx_q1 = q1; cx_q2 = q2; cx_model = model })
+        (Mso.solve env f))
+    cases
 
 (* ------------------------------------------------------------------ *)
 (* Data race detection                                                 *)
@@ -148,86 +175,46 @@ let check_data_race ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
     ?(budget = Engine.unlimited) (info : Blocks.t) : race_result =
   let t0 = Engine.now () in
   let deadline = Engine.absolute_deadline budget in
-  let unknown reason pairs_done pairs_total =
-    Race_unknown
-      { reason = against_query ~budget ~t0 reason; pairs_done; pairs_total }
-  in
   (* encoder construction (ConsistentCondSet enumeration) runs under the
      whole remaining budget; a blow-up there is an Unknown with no pair
      discharged, not a crash *)
   let setup () =
     let enc = Encode.make ?field_sensitive ?prune info in
     if Encode.divergence_triples enc Blocks.Par = [] then None
-    else begin
-      let noncalls = Blocks.all_noncalls info in
-      let env =
-        ("x1", Mso.FO) :: ("x2", Mso.FO)
-        :: Encode.label_env enc [ ns_p1; ns_p2 ]
-      in
-      let pairs =
-        List.concat_map
-          (fun q1 ->
-            List.filter_map
-              (fun q2 ->
-                if q1 <= q2 && Encode.may_conflict enc q1 q2 then
-                  Some (q1, q2)
-                else None)
-              noncalls)
-          noncalls
-      in
-      Some (enc, env, pairs)
-    end
+    else Some (enc, conflicting_pairs ~unordered:true enc info)
   in
   match Engine.with_budget (Engine.slice budget ~deadline ~over:1) setup with
-  | Error reason -> unknown reason 0 0
+  | Error reason -> Race_unknown (progress ~budget ~t0 reason 0 0)
   | Ok None -> Race_free
-  | Ok (Some (enc, env, pairs)) -> (
+  | Ok (Some (enc, pairs)) -> (
+    let env = Encode.query_env [ (enc, [ ns_p1; ns_p2 ]) ] in
     let solve_pair (q1, q2) =
       on_pair q1 q2;
       Log.info (fun m ->
           m "data race query for blocks %s, %s" (Blocks.block info q1).label
             (Blocks.block info q2).label);
-      let current1 = Some (q1, "x1") and current2 = Some (q2, "x2") in
       (* one query per parallel-divergence case: the case union is never
          materialized (see Encode.parallel_cases); raw [And] keeps each
          element a cached subformula and the configuration products prune
-         the state space first *)
-      let cases =
-        Encode.parallel_cases enc ns_p1 ns_p2 ~current1 ~current2
-      in
-      let found = ref None in
-      List.iter
-        (fun case ->
-          if !found = None then
-            let f =
-              Mso.And
-                [
-                  Encode.configuration enc ns_p1 ~q:q1 ~x:"x1";
-                  Encode.configuration enc ns_p2 ~q:q2 ~x:"x2";
-                  Encode.conflict_access enc ns_p1 ns_p2 ~q1 ~x1:"x1" ~q2
-                    ~x2:"x2";
-                  case;
-                ]
-            in
-            match Mso.solve env f with
-            | Some model ->
-              found :=
-                Some
-                  {
-                    cx_tree = model.tree;
-                    cx_q1 = q1;
-                    cx_q2 = q2;
-                    cx_model = model;
-                  }
-            | None -> ())
-        cases;
-      !found
+         the state space first.  A pair without a case builds no
+         configuration. *)
+      first_counterexample env (q1, q2)
+        (List.map
+           (fun case ->
+             Mso.And
+               [
+                 Encode.configuration enc ns_p1 ~q:q1;
+                 Encode.configuration enc ns_p2 ~q:q2;
+                 Encode.conflict_access enc ns_p1 ns_p2 ~q1 ~q2;
+                 case;
+               ])
+           (Encode.parallel_cases enc ns_p1 ns_p2 ~q1 ~q2))
     in
-    match drive ~budget ~deadline pairs solve_pair with
-    | Drive_done -> Race_free
-    | Drive_found cx -> Race cx
-    | Drive_out (reason, pairs_done) ->
-      unknown reason pairs_done (List.length pairs))
+    let total = List.length pairs in
+    match drive ~budget ~t0 ~deadline ~ndone:0 ~total pairs solve_pair with
+    | Ok None -> Race_free
+    | Ok (Some cx) -> Race cx
+    | Error stopped -> Race_unknown stopped)
 
 (** Replay a race counterexample concretely: build the witness heap and ask
     the dynamic oracle whether an unordered conflicting pair occurs. *)
@@ -341,15 +328,7 @@ let sim_dir (pa : Blocks.t) (pb : Blocks.t) syma symb (qa : int)
       (path_cond_signature pa syma t)
       (path_cond_signature pb symb t')
   in
-  if
-    not
-      (List.exists
-         (fun qb ->
-           signatures_equivalent
-             (path_cond_signature pa syma qa)
-             (path_cond_signature pb symb qb))
-         qbs)
-  then None
+  if not (List.exists (sig_equiv qa) qbs) then None
   else begin
     (* is a chain through a frame created by [t] able to reach a record of
        [target]? *)
@@ -416,36 +395,38 @@ let sim_dir (pa : Blocks.t) (pb : Blocks.t) syma symb (qa : int)
     if List.mem (main, main) r then Some r else None
   end
 
+(* The block map as pairs of block ids, without the pairs that name a
+   label missing from its program. *)
+let map_ids (p : Blocks.t) (p' : Blocks.t) (map : block_map) =
+  List.filter_map
+    (fun (l, l') ->
+      match (Blocks.block_by_label p l, Blocks.block_by_label p' l') with
+      | Some b, Some b' -> Some (b.id, b'.id)
+      | _ -> None)
+    map
+
+(* The blocks [ids] relates [q] to, in map order. *)
+let image_of ids q =
+  List.filter_map (fun (a, b) -> if a = q then Some b else None) ids
+
 (** Check Definition 3 for a block map: every [P] configuration converts
     to a [P'] configuration (per mapped block, against its image set) and
     conversely (per image, against its preimage set). *)
 let check_bisimulation (p : Blocks.t) (p' : Blocks.t) ~(map : block_map) :
     bisim_result =
   let sym = Symexec.analyze p and sym' = Symexec.analyze p' in
-  let map_id =
-    List.filter_map
-      (fun (l, l') ->
-        match (Blocks.block_by_label p l, Blocks.block_by_label p' l') with
-        | Some b, Some b' -> Some (b.id, b'.id)
-        | _ -> None)
-      map
-  in
-  if List.length map_id <> List.length map then
+  let ids = map_ids p p' map in
+  if List.length ids <> List.length map then
     Not_bisimilar "block map mentions unknown labels"
   else begin
-    let sources = List.sort_uniq compare (List.map fst map_id) in
-    let images = List.sort_uniq compare (List.map snd map_id) in
-    let image_of q =
-      List.filter_map (fun (a, b) -> if a = q then Some b else None) map_id
-    in
-    let preimage_of q' =
-      List.filter_map (fun (a, b) -> if b = q' then Some a else None) map_id
-    in
+    let sources = List.sort_uniq compare (List.map fst ids) in
+    let images = List.sort_uniq compare (List.map snd ids) in
+    let preimage_of = image_of (List.map (fun (a, b) -> (b, a)) ids) in
     let relation = ref [] in
     let forward_failure =
       List.find_opt
         (fun q ->
-          match sim_dir p p' sym sym' q (image_of q) with
+          match sim_dir p p' sym sym' q (image_of ids q) with
           | Some r ->
             relation := r @ !relation;
             false
@@ -494,13 +475,9 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
   let t0 = Engine.now () in
   let deadline = Engine.absolute_deadline budget in
   let whole () = Engine.slice budget ~deadline ~over:1 in
-  let unknown reason pairs_done pairs_total =
-    Equiv_unknown
-      { reason = against_query ~budget ~t0 reason; pairs_done; pairs_total }
-  in
-  let unknown0 reason = unknown reason 0 0 in
+  let cut reason = Equiv_unknown (progress ~budget ~t0 reason 0 0) in
   match Engine.with_budget (whole ()) (fun () -> check_bisimulation p p' ~map) with
-  | Error reason -> unknown0 reason
+  | Error reason -> cut reason
   | Ok (Not_bisimilar why) -> Bisimulation_failed why
   | Ok (Bisimilar relation) -> (
     let setup () =
@@ -509,57 +486,30 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
       (enc, enc')
     in
     match Engine.with_budget (whole ()) setup with
-    | Error reason -> unknown0 reason
+    | Error reason -> cut reason
     | Ok (enc, enc') -> (
-      let map_id =
-        List.filter_map
-          (fun (l, l') ->
-            match (Blocks.block_by_label p l, Blocks.block_by_label p' l') with
-            | Some b, Some b' -> Some (b.id, b'.id)
-            | _ -> None)
-          map
-      in
-      let images q =
-        List.filter_map (fun (a, b) -> if a = q then Some b else None) map_id
-      in
-      let noncalls = Blocks.all_noncalls p in
+      let images = image_of (map_ids p p' map) in
+      let side_p = (enc, [ ns_p1; ns_p2 ])
+      and side_p' = (enc', [ ns_q1; ns_q2 ]) in
       (* One query per dependent block pair, over both programs' label
          families at once (they share only the tree and the current
          nodes). *)
-      let flat_env =
-        ("x1", Mso.FO) :: ("x2", Mso.FO)
-        :: (Encode.label_env enc [ ns_p1; ns_p2 ]
-           @ Encode.label_env enc' [ ns_q1; ns_q2 ])
-      in
+      let flat_env = Encode.query_env [ side_p; side_p' ] in
       (* the dependence part alone, per program side — a cheap necessary
          condition used to filter pairs before compiling the (expensive)
          schedule constraints.  The encoder's memo returns one physical
          formula per (side, q1, q2). *)
-      let dep_side enc nsa nsb q1 q2 =
-        Encode.dependence enc nsa nsb ~q1 ~x1:"x1" ~q2 ~x2:"x2"
-      in
-      let dep_env_p =
-        ("x1", Mso.FO) :: ("x2", Mso.FO)
-        :: Encode.label_env enc [ ns_p1; ns_p2 ]
-      in
-      let dep_env_p' =
-        ("x1", Mso.FO) :: ("x2", Mso.FO)
-        :: Encode.label_env enc' [ ns_q1; ns_q2 ]
-      in
+      let env_p = Encode.query_env [ side_p ]
+      and env_p' = Encode.query_env [ side_p' ] in
+      let dep_p q1 q2 = Encode.dependence enc ns_p1 ns_p2 ~q1 ~q2
+      and dep_p' q1 q2 = Encode.dependence enc' ns_q1 ns_q2 ~q1 ~q2 in
       let flat_cases q1 q2 q1' q2' =
-        let current1 = Some (q1, "x1") and current2 = Some (q2, "x2") in
-        let current1' = Some (q1', "x1") and current2' = Some (q2', "x2") in
-        (* one query per pair of ordered-divergence cases; each dep_side
+        (* one query per pair of ordered-divergence cases; each dependence
            conjunct is the very formula the prefilter already compiled, so
            its automaton comes from the cache, whose key comparison stops
            at the shared formula *)
-        let cases_p =
-          Encode.ordered_cases enc ns_p1 ns_p2 ~current1 ~current2
-        in
-        let cases_p' =
-          Encode.ordered_cases enc' ns_q2 ns_q1 ~current1:current2'
-            ~current2:current1'
-        in
+        let cases_p = Encode.ordered_cases enc ns_p1 ns_p2 ~q1 ~q2 in
+        let cases_p' = Encode.ordered_cases enc' ns_q2 ns_q1 ~q1:q2' ~q2:q1' in
         (* group as (depP ∧ caseP) ∧ (depP' ∧ caseP'): each grouped side is
            one cached automaton, so the cross product of cases costs one
            intersection per combination *)
@@ -569,21 +519,13 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
               (fun cp' ->
                 Mso.And
                   [
-                    Mso.And [ dep_side enc ns_p1 ns_p2 q1 q2; cp ];
-                    Mso.And [ dep_side enc' ns_q1 ns_q2 q1' q2'; cp' ];
+                    Mso.And [ dep_p q1 q2; cp ];
+                    Mso.And [ dep_p' q1' q2'; cp' ];
                   ])
               cases_p')
           cases_p
       in
-      let pairs =
-        List.concat_map
-          (fun q1 ->
-            List.filter_map
-              (fun q2 ->
-                if Encode.may_conflict enc q1 q2 then Some (q1, q2) else None)
-              noncalls)
-          noncalls
-      in
+      let pairs = conflicting_pairs ~unordered:false enc p in
       let pairs_total = List.length pairs in
       (* Escalation phase 1 — the cheap dependence prefilter: a pair whose
          image tuples never conflict statically, or whose P-side dependence
@@ -600,19 +542,16 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
             (images q1)
         in
         if not tuple_conflicts then `Cheap
-        else if
-          not (Mso.satisfiable dep_env_p (dep_side enc ns_p1 ns_p2 q1 q2))
-        then `Cheap
+        else if not (Mso.satisfiable env_p (dep_p q1 q2)) then `Cheap
         else `Work
       in
-      let nclassify = List.length pairs in
       (* each surviving pair, with whether its P-side dependence is
          already known satisfiable (not so if its prefilter ran out) *)
       let _, ncheap, work =
         List.fold_left
           (fun (i, ncheap, work) pair ->
             let slice =
-              Engine.slice budget ~deadline ~over:(nclassify - i)
+              Engine.slice budget ~deadline ~over:(pairs_total - i)
             in
             match Engine.with_budget slice (fun () -> classify pair) with
             | Ok `Cheap -> (i + 1, ncheap + 1, work)
@@ -623,15 +562,13 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
       let work = List.rev work in
       (* Each P'-side dependence is decided once per query, on the first
          pair that needs it; a decision cut by the budget is not kept. *)
-      let dep_p' = Hashtbl.create 16 in
+      let decided_p' = Hashtbl.create 16 in
       let dep_sat_p' q1' q2' =
-        match Hashtbl.find_opt dep_p' (q1', q2') with
+        match Hashtbl.find_opt decided_p' (q1', q2') with
         | Some sat -> sat
         | None ->
-          let sat =
-            Mso.satisfiable dep_env_p' (dep_side enc' ns_q1 ns_q2 q1' q2')
-          in
-          Hashtbl.add dep_p' (q1', q2') sat;
+          let sat = Mso.satisfiable env_p' (dep_p' q1' q2') in
+          Hashtbl.add decided_p' (q1', q2') sat;
           sat
       in
       (* Escalation phase 2 — full schedule queries per surviving pair,
@@ -640,17 +577,14 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
       let solve_pair ((q1, q2), dep_known) =
         let dep_sat_p =
           if dep_known then lazy true
-          else
-            lazy (Mso.satisfiable dep_env_p (dep_side enc ns_p1 ns_p2 q1 q2))
+          else lazy (Mso.satisfiable env_p (dep_p q1 q2))
         in
-        let found = ref None in
-        List.iter
+        List.find_map
           (fun q1' ->
-            List.iter
+            List.find_map
               (fun q2' ->
                 if
-                  !found = None
-                  && Encode.may_conflict enc' q1' q2'
+                  Encode.may_conflict enc' q1' q2'
                   && Lazy.force dep_sat_p
                   && dep_sat_p' q1' q2'
                 then begin
@@ -658,31 +592,20 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
                   Log.info (fun m ->
                       m "conflict query for blocks %s, %s"
                         (Blocks.block p q1).label (Blocks.block p q2).label);
-                  List.iter
-                    (fun f ->
-                      if !found = None then
-                        match Mso.solve flat_env f with
-                        | Some model ->
-                          found :=
-                            Some
-                              {
-                                cx_tree = model.tree;
-                                cx_q1 = q1;
-                                cx_q2 = q2;
-                                cx_model = model;
-                              }
-                        | None -> ())
+                  first_counterexample flat_env (q1, q2)
                     (flat_cases q1 q2 q1' q2')
-                end)
+                end
+                else None)
               (images q2))
-          (images q1);
-        !found
+          (images q1)
       in
-      match drive ~budget ~deadline work solve_pair with
-      | Drive_found cx -> Not_equivalent cx
-      | Drive_done -> Equivalent { relation }
-      | Drive_out (reason, ndone) ->
-        unknown reason (ncheap + ndone) pairs_total))
+      match
+        drive ~budget ~t0 ~deadline ~ndone:ncheap ~total:pairs_total work
+          solve_pair
+      with
+      | Ok (Some cx) -> Not_equivalent cx
+      | Ok None -> Equivalent { relation }
+      | Error stopped -> Equiv_unknown stopped))
 
 (** Replay an equivalence counterexample: run both programs on the witness
     heap and compare results.  The minimal witness only localizes the

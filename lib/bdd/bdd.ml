@@ -205,22 +205,9 @@ let rec eval rho t =
   | True -> true
   | Node { v; lo; hi; _ } -> if rho v then eval rho hi else eval rho lo
 
-let support t =
-  let seen = Hashtbl.create 16 in
-  let vars = ref [] in
-  let rec go t =
-    match t with
-    | False | True -> ()
-    | Node { id; v; lo; hi } ->
-      if not (Hashtbl.mem seen id) then begin
-        Hashtbl.add seen id ();
-        if not (List.mem v !vars) then vars := v :: !vars;
-        go lo;
-        go hi
-      end
-  in
-  go t;
-  List.sort Int.compare !vars
+let root_var = function
+  | Node { v; _ } -> v
+  | False | True -> invalid_arg "Bdd.root_var: constant diagram"
 
 (* ------------------------------------------------------------------ *)
 (* Self-validation                                                     *)

@@ -56,8 +56,9 @@ val restrict : t -> var -> bool -> t
 val eval : (var -> bool) -> t -> bool
 (** Evaluate under a valuation. *)
 
-val support : t -> var list
-(** The variables the function actually depends on, ascending. *)
+val root_var : t -> var
+(** The variable at the root of a non-constant diagram: the smallest one
+    the function depends on.  @raise Invalid_argument on a constant. *)
 
 val check_integrity : unit -> (unit, string) result
 (** Re-check the ROBDD representation invariants (hash-cons key

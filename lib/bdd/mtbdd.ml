@@ -108,12 +108,7 @@ let ite g a b =
       match Memo2.find_opt tbl key with
       | Some r -> r
       | None ->
-        let gv =
-          match Bdd.support g with
-          | v :: _ -> v
-          | [] -> assert false
-        in
-        let v = min gv (min (level a) (level b)) in
+        let v = min (Bdd.root_var g) (min (level a) (level b)) in
         let a0, a1 = cofactors v a and b0, b1 = cofactors v b in
         let g0 = Bdd.restrict g v false and g1 = Bdd.restrict g v true in
         let r = mk st v (go g0 a0 b0) (go g1 a1 b1) in
@@ -233,22 +228,6 @@ let find_terminal t k =
       | None -> go ((v, true) :: acc) hi)
   in
   go [] t
-
-let size t =
-  let seen = Hashtbl.create 16 in
-  let n = ref 0 in
-  let rec go = function
-    | Leaf _ -> ()
-    | Node { id; lo; hi; _ } ->
-      if not (Hashtbl.mem seen id) then begin
-        Hashtbl.add seen id ();
-        incr n;
-        go lo;
-        go hi
-      end
-  in
-  go t;
-  !n
 
 (* ------------------------------------------------------------------ *)
 (* Self-validation: same representation sweep as {!Bdd.check_integrity},

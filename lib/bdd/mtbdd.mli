@@ -68,8 +68,6 @@ val find_terminal : t -> int -> (var * bool) list option
 (** A partial valuation leading to the given terminal, if it occurs.
     Unlisted variables are don't-care. *)
 
-val size : t -> int
-
 val check_integrity : unit -> (unit, string) result
 (** Re-check the MTBDD representation invariants (hash-cons key
     consistency, reducedness, variable ordering) on every node in the

@@ -15,9 +15,17 @@
       and are inlined into [PathCond].
 
     On top of [Configuration] the module builds the predicates [Next],
-    [Prev], [Consistent], [Ordered], [Parallel] and [Dependence], and the
+    [Prev], [Consistent], [Ordered], [Parallel] and [Dependence], the
+    environment of every query, and the whole [DataRace⟦P⟧] formula of one
+    block pair that [retreet mona] exports.  {!Analysis} assembles the
     top-level queries [DataRace⟦P⟧] (Theorem 2) and [Conflict⟦P,P'⟧]
-    (Theorem 3).
+    (Theorem 3) from these parts, one formula per block pair and
+    divergence case, and decides them.
+
+    A query relates two configurations, numbered 1 and 2 ([ns.cfg]); the
+    current record of configuration [k] runs on the first-order variable
+    [xk], whatever the namespace's program copy.  Encode alone spells
+    these names, so its builders take block ids only.
 
     Refinement over the paper's presentation: dependence is
     location-sensitive.  Field accesses conflict only when they reach the
@@ -34,14 +42,16 @@ type ns = { tag : string; cfg : int }
 let main_id = -1
 (** Pseudo block id for the paper's [main] record. *)
 
+(* The node of configuration [cfg]'s current record. *)
+let node cfg = Printf.sprintf "x%d" cfg
+
 (* What a memoized formula is built from: the arguments of one call. *)
 type formula_key =
-  | Configuration of ns * int * Mso.var
-  | Conflict of ns * ns * int * Mso.var * int * Mso.var
-  | Dependence of ns * ns * int * Mso.var * int * Mso.var
+  | Configuration of ns * int
+  | Conflict of ns * ns * int * int
+  | Dependence of ns * ns * int * int
 
-type cases_key =
-  Blocks.order * ns * ns * (int * Mso.var) option * (int * Mso.var) option
+type cases_key = Blocks.order * ns * ns * int * int
 
 type t = {
   info : Blocks.t;
@@ -186,11 +196,11 @@ let labels t ns : string list =
   :: List.map (block_var t ns) (Blocks.all_calls t.info))
   @ List.map (cond_var t ns) t.arith_conds
 
-(** The environment for a set of namespaces.  The label families are
-    {e interleaved} (L1_b, L2_b, L1'_b, L2'_b, ...) rather than
-    concatenated: the agreement guards [∧ (L1_b ⇔ L2_b)] of [Consistent]
-    are linear-size BDDs under this ordering and exponential under a
-    blocked one. *)
+(* The environment for a set of namespaces.  The label families are
+   {e interleaved} (L1_b, L2_b, L1'_b, L2'_b, ...) rather than
+   concatenated: the agreement guards [∧ (L1_b ⇔ L2_b)] of [Consistent]
+   are linear-size BDDs under this ordering and exponential under a
+   blocked one. *)
 let label_env t nss : Mso.env =
   match nss with
   | [] -> []
@@ -205,6 +215,12 @@ let label_env t nss : Mso.env =
         @ interleave (List.map (function [] -> [] | _ :: r -> r) cols)
     in
     interleave columns
+
+(** The environment of a query: the two current nodes, then the labels of
+    each encoder's namespaces, interleaved per encoder. *)
+let query_env groups : Mso.env =
+  (node 1, Mso.FO) :: (node 2, Mso.FO)
+  :: List.concat_map (fun (t, nss) -> label_env t nss) groups
 
 (* ------------------------------------------------------------------ *)
 (* Structural helpers                                                  *)
@@ -291,10 +307,10 @@ let all_call_ids t = main_id :: Blocks.all_calls t.info
 
 (** [Configuration(L, C, q, x)]: the labels of namespace [ns] describe a
     valid (abstracted) configuration whose current record runs non-call
-    block [q] on node [x]. *)
-let configuration t ns ~q ~x : Mso.formula =
-  memo t.formulas (Configuration (ns, q, x)) @@ fun () ->
-  let u = "u" in
+    block [q] on the namespace's current node [x]. *)
+let configuration t ns ~q : Mso.formula =
+  memo t.formulas (Configuration (ns, q)) @@ fun () ->
+  let u = "u" and x = node ns.cfg in
   let current = Some (q, x) in
   (* Only calls whose chains can reach the current record may be labeled:
      every call record needs a successor and the only terminating record is
@@ -504,15 +520,13 @@ let divergence_triples t (rel : Blocks.order) =
    identical subformula across all block-pair queries, so its automaton is
    compiled once.  The raw [Or] constructor is used to prevent the smart
    constructor from flattening the groups away. *)
-let divergence_cases t ns1 ns2 ~current1 ~current2 rel : Mso.formula list =
-  memo t.cases (rel, ns1, ns2, current1, current2) @@ fun () ->
+let divergence_cases t ns1 ns2 ~q1 ~q2 rel : Mso.formula list =
+  memo t.cases (rel, ns1, ns2, q1, q2) @@ fun () ->
   let z = "z" in
-  let target c =
-    match c with
-    | Some (q, _) -> (Blocks.block t.info q).bfunc
-    | None -> invalid_arg "Encode.divergence_cases: current records required"
-  in
-  let target1 = target current1 and target2 = target current2 in
+  let current1 = Some (q1, node ns1.cfg)
+  and current2 = Some (q2, node ns2.cfg) in
+  let target1 = (Blocks.block t.info q1).bfunc
+  and target2 = (Blocks.block t.info q2).bfunc in
   (* The call/call continuations depend only on the current blocks'
      functions, so those disjuncts are shared across all block-pair
      queries with the same function pair. *)
@@ -557,17 +571,18 @@ let divergence_cases t ns1 ns2 ~current1 ~current2 rel : Mso.formula list =
   in
   List.filter (( <> ) Mso.False) (List.map wrap shared @ List.map wrap specific)
 
-(** The disjuncts of "the configuration of [ns1] is scheduled strictly
-    before that of [ns2]": one formula per divergence group.  The whole
-    relation is their disjunction, but callers solve per disjunct —
-    [sat (X ∧ ∨gs) = ∃g. sat (X ∧ g)] — so the (exponentially expensive)
-    union automaton never has to be built. *)
-let ordered_cases t ns1 ns2 ~current1 ~current2 : Mso.formula list =
-  divergence_cases t ns1 ns2 ~current1 ~current2 Blocks.Prec
+(** The disjuncts of "the configuration of [ns1], at block [q1], is
+    scheduled strictly before that of [ns2], at block [q2]": one formula
+    per divergence group.  The whole relation is their disjunction, but
+    callers solve per disjunct — [sat (X ∧ ∨gs) = ∃g. sat (X ∧ g)] — so
+    the (exponentially expensive) union automaton never has to be
+    built. *)
+let ordered_cases t ns1 ns2 ~q1 ~q2 : Mso.formula list =
+  divergence_cases t ns1 ns2 ~q1 ~q2 Blocks.Prec
 
 (** The disjuncts of "the two configurations may occur in either order". *)
-let parallel_cases t ns1 ns2 ~current1 ~current2 : Mso.formula list =
-  divergence_cases t ns1 ns2 ~current1 ~current2 Blocks.Par
+let parallel_cases t ns1 ns2 ~q1 ~q2 : Mso.formula list =
+  divergence_cases t ns1 ns2 ~q1 ~q2 Blocks.Par
 
 (* ------------------------------------------------------------------ *)
 (* Dependence                                                          *)
@@ -575,8 +590,9 @@ let parallel_cases t ns1 ns2 ~current1 ~current2 : Mso.formula list =
 (** Conflicting-access formula between the current records [(q1, x1)] of
     [ns1] and [(q2, x2)] of [ns2]: some location is accessed by both, at
     least one access being a write. *)
-let conflict_access t ns1 ns2 ~q1 ~x1 ~q2 ~x2 : Mso.formula =
-  memo t.formulas (Conflict (ns1, ns2, q1, x1, q2, x2)) @@ fun () ->
+let conflict_access t ns1 ns2 ~q1 ~q2 : Mso.formula =
+  memo t.formulas (Conflict (ns1, ns2, q1, q2)) @@ fun () ->
+  let x1 = node ns1.cfg and x2 = node ns2.cfg in
   let a1 = access_of t q1 and a2 = access_of t q2 in
   let fields l =
     List.filter_map (function Rw.SField (p, f) -> Some (p, f) | _ -> None) l
@@ -704,17 +720,28 @@ let conflict_access t ns1 ns2 ~q1 ~x1 ~q2 ~x2 : Mso.formula =
 
 (** [Dependence]: both configurations are valid and their current records
     conflict. *)
-let dependence t ns1 ns2 ~q1 ~x1 ~q2 ~x2 : Mso.formula =
-  memo t.formulas (Dependence (ns1, ns2, q1, x1, q2, x2)) @@ fun () ->
+let dependence t ns1 ns2 ~q1 ~q2 : Mso.formula =
+  memo t.formulas (Dependence (ns1, ns2, q1, q2)) @@ fun () ->
   Mso.And
     [
-      configuration t ns1 ~q:q1 ~x:x1;
-      configuration t ns2 ~q:q2 ~x:x2;
-      conflict_access t ns1 ns2 ~q1 ~x1 ~q2 ~x2;
+      configuration t ns1 ~q:q1;
+      configuration t ns2 ~q:q2;
+      conflict_access t ns1 ns2 ~q1 ~q2;
     ]
 
 (** Can the pair possibly conflict at all?  A cheap static prefilter. *)
 let may_conflict t q1 q2 : bool =
-  conflict_access t { tag = "a"; cfg = 1 } { tag = "a"; cfg = 2 } ~q1 ~x1:"x1"
-    ~q2 ~x2:"x2"
+  conflict_access t { tag = "a"; cfg = 1 } { tag = "a"; cfg = 2 } ~q1 ~q2
   <> Mso.False
+
+(** [DataRace⟦P⟧] for the current blocks [q1] and [q2], whole: the two
+    configurations are dependent and may occur in either order.  Its
+    environment comes with it. *)
+let data_race t ~q1 ~q2 : Mso.env * Mso.formula =
+  let ns1 = { tag = ""; cfg = 1 } and ns2 = { tag = ""; cfg = 2 } in
+  ( query_env [ (t, [ ns1; ns2 ]) ],
+    Mso.and_l
+      [
+        dependence t ns1 ns2 ~q1 ~q2;
+        Mso.or_l (parallel_cases t ns1 ns2 ~q1 ~q2);
+      ] )

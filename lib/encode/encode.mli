@@ -16,10 +16,19 @@
     same frame variable — with [return] modelled as a write to the
     caller's receiving variables), which sharpens the paper's
     node-granularity presentation and remains sound; pass
-    [~field_sensitive:false] to {!make} for the paper's granularity. *)
+    [~field_sensitive:false] to {!make} for the paper's granularity.
+
+    Encode builds the predicates, every query's environment
+    ({!query_env}) and the whole [DataRace⟦P⟧] formula of one block pair
+    ({!data_race}, for export).  {!Analysis} assembles the queries it
+    decides from the predicates, one formula per block pair and divergence
+    case. *)
 
 (** A label namespace: which program copy ([tag]) and which of the two
-    configurations of a query ([cfg]) the labels belong to. *)
+    configurations of a query ([cfg]) the labels belong to.  The current
+    record of configuration [k] runs on node [xk] (["x1"] or ["x2"]) in
+    every namespace; the builders below place it there, so they take
+    block ids only. *)
 type ns = { tag : string; cfg : int }
 
 val main_id : int
@@ -52,53 +61,49 @@ val block_var : t -> ns -> int -> string
 val labels : t -> ns -> string list
 (** All label variables of one namespace, in a stable order. *)
 
-val label_env : t -> ns list -> Mso.env
-(** The environment for a set of namespaces, with the label families
+val query_env : (t * ns list) list -> Mso.env
+(** The environment of a query over the given encoders' namespaces: the
+    current nodes [x1] and [x2], then each encoder's label families,
     {e interleaved} so the agreement guards of the schedule predicates
     stay linear-size BDDs. *)
 
 (** {1 Formulas} *)
 
-val configuration : t -> ns -> q:int -> x:Mso.var -> Mso.formula
+val configuration : t -> ns -> q:int -> Mso.formula
 (** [Configuration(L, C, q, x)]: the namespace's labels describe a valid
     (abstracted) configuration whose current record runs non-call block
-    [q] on node [x]. *)
+    [q] on the namespace's current node [x]. *)
 
 val divergence_triples : t -> Blocks.order -> (int * int * int) list
 (** All [(s, t1, t2)] with [s / t1], [s / t2] and the given relation. *)
 
-val ordered_cases :
-  t ->
-  ns ->
-  ns ->
-  current1:(int * Mso.var) option ->
-  current2:(int * Mso.var) option ->
-  Mso.formula list
-(** The disjuncts of "configuration 1 is scheduled strictly before
-    configuration 2", one per divergence group.  Callers decide
+val ordered_cases : t -> ns -> ns -> q1:int -> q2:int -> Mso.formula list
+(** The disjuncts of "the configuration of the first namespace, at block
+    [q1], is scheduled strictly before that of the second, at block
+    [q2]", one per divergence group.  Callers decide
     satisfiability per disjunct — [sat (X ∧ ∨gs) = ∃g. sat (X ∧ g)] — so
     the union automaton (exponential for mutually recursive clusters) is
     never built. *)
 
-val parallel_cases :
-  t ->
-  ns ->
-  ns ->
-  current1:(int * Mso.var) option ->
-  current2:(int * Mso.var) option ->
-  Mso.formula list
+val parallel_cases : t -> ns -> ns -> q1:int -> q2:int -> Mso.formula list
 (** The disjuncts of "the two configurations may occur in either order". *)
 
-val conflict_access :
-  t -> ns -> ns -> q1:int -> x1:Mso.var -> q2:int -> x2:Mso.var -> Mso.formula
+val conflict_access : t -> ns -> ns -> q1:int -> q2:int -> Mso.formula
 (** The current records of the two configurations access a common
     location, at least one writing. *)
 
-val dependence :
-  t -> ns -> ns -> q1:int -> x1:Mso.var -> q2:int -> x2:Mso.var -> Mso.formula
+val dependence : t -> ns -> ns -> q1:int -> q2:int -> Mso.formula
 (** [Dependence]: both namespaces describe valid configurations, and their
     current records conflict ({!configuration} twice and
     {!conflict_access}, conjoined). *)
 
 val may_conflict : t -> int -> int -> bool
 (** Cheap static prefilter: is the conflict formula non-trivial? *)
+
+val data_race : t -> q1:int -> q2:int -> Mso.env * Mso.formula
+(** [DataRace⟦P⟧] for the current blocks [q1] and [q2], whole, with its
+    environment: {!dependence} and the disjunction of {!parallel_cases},
+    flattened into one conjunction, over the namespaces
+    [{tag = ""; cfg = 1}] and [{tag = ""; cfg = 2}].  This is what
+    [retreet mona] exports; the race query solves it one parallel case at
+    a time instead. *)

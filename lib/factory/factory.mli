@@ -13,10 +13,12 @@
       mutual recursion, optional [Int] parameters, readers (accumulating
       returns) and writers (field updates), guarded and unguarded
       accesses, either recursion order.
-    - {b Css}: a random stylesheet is generated, parsed by
-      {!Css_parser}, binarized by {!Css_lcrs}, and cssnano-style passes
-      over its [kind]/[prop]/[value] fields are emitted — the bundled
-      case study (E5) scaled across generated documents.
+    - {b Css}: cssnano-style passes over the [kind]/[prop]/[value]
+      fields of a stylesheet tree are emitted — the bundled case study
+      (E5) scaled across generated documents.  A random stylesheet is
+      drawn with each scenario and rendered to CSS text by this module
+      ([sc_css], written beside the programs of a corpus); it is not
+      parsed, and the passes do not depend on it.
 
     Four kinds, two per query plane:
 

@@ -63,11 +63,10 @@ let rec pp_formula ppf (f : Mso.formula) =
     Fmt.pf ppf "(all1 %s: %a)" (keyword_safe x) pp_formula f
 
 (** Serialize a satisfiability query to MONA (WS2S) concrete syntax. *)
-let to_mona ?(comment = "generated by Retreet") (env : Mso.env)
-    (f : Mso.formula) : string =
+let to_mona (env : Mso.env) (f : Mso.formula) : string =
   let buf = Buffer.create 4096 in
   let out fmt = Fmt.kstr (Buffer.add_string buf) fmt in
-  out "# %s\n" comment;
+  out "# generated by Retreet\n";
   out "ws2s;\n\n";
   out "# nil fringe: closed under successors (the paper's isNil axiom)\n";
   out "var2 $NIL where all1 nil_v: nil_v in $NIL => (nil_v.0 in $NIL & nil_v.1 in $NIL);\n\n";
@@ -84,7 +83,7 @@ let to_mona ?(comment = "generated by Retreet") (env : Mso.env)
   out "\n%a;\n" pp_formula f;
   Buffer.contents buf
 
-let write_mona ?comment ~path env f =
+let write_mona ~path env f =
   let oc = open_out path in
-  output_string oc (to_mona ?comment env f);
+  output_string oc (to_mona env f);
   close_out oc

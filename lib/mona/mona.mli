@@ -9,10 +9,9 @@
 val pp_formula : Format.formatter -> Mso.formula -> unit
 (** One formula in MONA syntax (without the prologue). *)
 
-val to_mona : ?comment:string -> Mso.env -> Mso.formula -> string
+val to_mona : Mso.env -> Mso.formula -> string
 (** A complete [.mona] file: WS2S header, the nil-fringe convention
     ([$NIL], closed under successors — the paper's isNil axiom), the
     [reach] predicate, variable declarations, and the formula. *)
 
-val write_mona :
-  ?comment:string -> path:string -> Mso.env -> Mso.formula -> unit
+val write_mona : path:string -> Mso.env -> Mso.formula -> unit

@@ -1,7 +1,3 @@
-let src = Logs.Src.create "retreet.mso" ~doc:"MSO over binary trees"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type var = string
 
 type formula =
@@ -477,6 +473,35 @@ and comp_raw tenv next f =
   let agreement ps =
     Bdd.conj_list (List.map (fun (a, b) -> var2 Bdd.iff a b) ps)
   in
+  (* [∃x. g], or [∀x. g] as [¬∃x. ¬g], for [x] of [kind]; [requantify h]
+     is the same quantifier over [h].  ∃ distributes over ∨ and ∀ over ∧,
+     which keeps intermediate automata small; ∃ hoists the conjuncts that
+     do not mention [x] out of the quantifier; a first-order [x] ranges
+     over singletons. *)
+  let quantify ~exists kind x g requantify =
+    let again h = comp tenv next (requantify h) in
+    match (exists, g) with
+    | true, Or gs -> Treeauto.union_list (List.map again gs)
+    | false, And gs -> Treeauto.inter_list (List.map again gs)
+    | _ ->
+      let dependent, independent =
+        match g with
+        | And gs -> List.partition (fun h -> VSet.mem x (fv h)) gs
+        | _ -> ([ g ], [])
+      in
+      let body = comp (bind x kind) (next + 1) (and_l dependent) in
+      let body = if exists then body else Treeauto.complement body in
+      let body =
+        match kind with
+        | FO -> Treeauto.minimize (Treeauto.inter (auto_sing next) body)
+        | SO -> body
+      in
+      let projected = project_bound next body in
+      if exists then
+        Treeauto.inter_list
+          (projected :: List.map (comp tenv next) independent)
+      else Treeauto.complement projected
+  in
     match f with
     | True -> Treeauto.const true
     | False -> Treeauto.const false
@@ -512,51 +537,10 @@ and comp_raw tenv next f =
       Treeauto.minimize
         (Treeauto.union (Treeauto.inter ca cb)
            (Treeauto.inter (Treeauto.complement ca) (Treeauto.complement cb)))
-    | Exists2 (x, Or gs) ->
-      (* ∃ distributes over ∨: keeps intermediate automata small *)
-      Treeauto.union_list (List.map (fun g -> comp tenv next (Exists2 (x, g))) gs)
-    | Exists2 (x, g) ->
-      (* hoist conjuncts that do not mention x out of the quantifier *)
-      let dependent, independent =
-        match g with
-        | And gs -> List.partition (fun h -> VSet.mem x (fv h)) gs
-        | _ -> ([ g ], [])
-      in
-      let inner =
-        project_bound next
-          (comp (bind x SO) (next + 1) (and_l dependent))
-      in
-      Treeauto.inter_list (inner :: List.map (comp tenv next) independent)
-    | Forall2 (x, And gs) ->
-      Treeauto.inter_list (List.map (fun g -> comp tenv next (Forall2 (x, g))) gs)
-    | Forall2 (x, g) ->
-      Treeauto.complement
-        (project_bound next
-           (Treeauto.complement (comp (bind x SO) (next + 1) g)))
-    | Exists1 (x, Or gs) ->
-      Treeauto.union_list (List.map (fun g -> comp tenv next (Exists1 (x, g))) gs)
-    | Exists1 (x, g) ->
-      (* hoist conjuncts that do not mention x out of the quantifier *)
-      let dependent, independent =
-        match g with
-        | And gs -> List.partition (fun h -> VSet.mem x (fv h)) gs
-        | _ -> ([ g ], [])
-      in
-      let inner =
-        project_bound next
-          (Treeauto.minimize
-             (Treeauto.inter (auto_sing next)
-                (comp (bind x FO) (next + 1) (and_l dependent))))
-      in
-      Treeauto.inter_list (inner :: List.map (comp tenv next) independent)
-    | Forall1 (x, And gs) ->
-      Treeauto.inter_list (List.map (fun g -> comp tenv next (Forall1 (x, g))) gs)
-    | Forall1 (x, g) ->
-      Treeauto.complement
-        (project_bound next
-           (Treeauto.minimize
-              (Treeauto.inter (auto_sing next)
-                 (Treeauto.complement (comp (bind x FO) (next + 1) g)))))
+    | Exists2 (x, g) -> quantify ~exists:true SO x g (fun h -> Exists2 (x, h))
+    | Forall2 (x, g) -> quantify ~exists:false SO x g (fun h -> Forall2 (x, h))
+    | Exists1 (x, g) -> quantify ~exists:true FO x g (fun h -> Exists1 (x, h))
+    | Forall1 (x, g) -> quantify ~exists:false FO x g (fun h -> Forall1 (x, h))
 
 let compile env formula =
   let tenv = List.mapi (fun i (v, kind) -> (v, { tr = i; kind })) env in
@@ -599,9 +583,7 @@ let decode env tree =
     env
 
 let solve env formula =
-  let a = compile env formula in
-  Log.debug (fun m -> m "solve: automaton %a" Treeauto.pp_stats a);
-  match Treeauto.witness a with
+  match Treeauto.witness (compile env formula) with
   | None -> None
   | Some tree -> Some { tree; assignment = decode env tree }
 

@@ -155,8 +155,7 @@ module Core = struct
   }
 
   let create ?(workers = 2) ?(max_queue = 64) ?(cache_nodes = 1_000_000)
-      ?allowance ?window ?max_retries ?backoff ?snapshot
-      ?(snapshot_every = 64) () =
+      ?allowance ?window ?snapshot ?(snapshot_every = 64) () =
     let workers = max 1 workers in
     let cache = Serve_cache.create ~capacity:cache_nodes in
     let loaded, load_status =
@@ -171,7 +170,7 @@ module Core = struct
         (List.length entries, Some status)
     in
     {
-      pool = Pool.Supervised.create ~workers ?max_retries ?backoff ();
+      pool = Pool.Supervised.create ~workers ();
       cache;
       metrics = Serve_metrics.create ();
       ledger = Engine.Ledger.create ?window ?allowance ();

@@ -103,8 +103,6 @@ module Core : sig
     ?cache_nodes:int ->
     ?allowance:float ->
     ?window:float ->
-    ?max_retries:int ->
-    ?backoff:(int -> float) ->
     ?snapshot:string ->
     ?snapshot_every:int ->
     unit ->
@@ -114,8 +112,8 @@ module Core : sig
       caps the queued-job depth before shedding; [cache_nodes] (default
       [1_000_000]) is the reply cache's node-weight capacity ([0]
       disables caching); [allowance]/[window] (defaults 30s/60s)
-      parameterize the per-client {!Engine.Ledger}; [max_retries]
-      (default 1) and [backoff] are passed to {!Pool.Supervised.create}.
+      parameterize the per-client {!Engine.Ledger}.  The pool keeps
+      {!Pool.Supervised.create}'s default retry count and backoff.
 
       [snapshot], when given, makes the reply cache durable: entries in
       the file (written by a previous process, {!Serve_snapshot}) are

@@ -100,10 +100,12 @@ let main_shape (prog : Ast.prog) (names : string list) :
             Ok (Some (l, "ret"))
           | _ -> Error "Main has more than one trailing block"))
 
+let fused_name = "Fused"
+
 (** Fuse the named post-order traversals (which [Main] must call
-    sequentially, in order) into a single traversal [fused_name].  Returns
-    the new program and the non-call block map for the equivalence check. *)
-let fuse ?(fused_name = "Fused") (prog : Ast.prog) (names : string list) :
+    sequentially, in order) into a single traversal [Fused].  Returns the
+    new program and the non-call block map for the equivalence check. *)
+let fuse (prog : Ast.prog) (names : string list) :
     (Ast.prog * (string * string) list, error) result =
   if names = [] then Error "nothing to fuse"
   else begin

@@ -1,7 +1,3 @@
-let src = Logs.Src.create "retreet.treeauto" ~doc:"Tree automata"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type state = int
 type label = int list
 
@@ -211,17 +207,13 @@ let stats_slot : (string, float * int) Hashtbl.t Solver_ctx.Slot.slot =
 
 let stats () = Solver_ctx.get_current stats_slot
 
-let timed ?detail name f =
+let timed name f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   let dt = Unix.gettimeofday () -. t0 in
   let stats = stats () in
   let acc, n = try Hashtbl.find stats name with Not_found -> (0., 0) in
   Hashtbl.replace stats name (acc +. dt, n + 1);
-  if dt > 0.2 then
-    Log.debug (fun m ->
-        m "slow %s: %.2fs%s" name dt
-          (match detail with None -> "" | Some d -> " " ^ d ()));
   r
 
 let pp_op_stats ppf () =
@@ -229,31 +221,16 @@ let pp_op_stats ppf () =
   |> List.sort compare
   |> List.iter (fun (k, (t, n)) -> Fmt.pf ppf "%s: %.4fs over %d calls@." k t n)
 
-let detail2 a b r () =
-  Printf.sprintf "%dx%d->%d" a.nstates b.nstates r.nstates
-
-let binop name f a b =
-  if a.nstates * b.nstates > 2000 then
-    Log.debug (fun m -> m "start %s: %dx%d" name a.nstates b.nstates);
-  let r = ref None in
-  let run () =
-    let x = product f a b in
-    r := Some x;
-    x
-  in
-  timed ~detail:(fun () -> detail2 a b (Option.get !r) ()) name run
-
-let inter a b = binop "inter" ( && ) a b
-let union a b = binop "union" ( || ) a b
+let inter a b = timed "inter" (fun () -> product ( && ) a b)
+let union a b = timed "union" (fun () -> product ( || ) a b)
 let complement a = { a with accept = Array.map not a.accept }
 
 (* ------------------------------------------------------------------ *)
 (* Minimization (Moore partition refinement)                            *)
 
 let minimize a =
- if a.nstates > 200 then Log.debug (fun m -> m "start minimize: %d states" a.nstates);
  observed "minimize"
- @@ timed ~detail:(fun () -> string_of_int a.nstates) "minimize"
+ @@ timed "minimize"
  @@ fun () ->
   let n = a.nstates in
   if n <= 1 then a
@@ -402,7 +379,6 @@ module Set_tbl = Hashtbl.Make (struct
 end)
 
 let project v a =
- if a.nstates > 60 then Log.debug (fun m -> m "start project: %d states" a.nstates);
  (* [minimize] times itself, so it runs outside the "project" region:
     its time is counted once *)
  let result = timed "project" @@ fun () ->
@@ -553,16 +529,3 @@ let run a tree =
 
 let accepts a tree = a.accept.(run a tree)
 let size a = a.nstates
-
-let pp_stats ppf a =
-  let edges =
-    Array.fold_left
-      (fun acc row ->
-        Array.fold_left (fun acc m -> acc + Mtbdd.size m) acc row)
-      0 a.delta
-  in
-  Fmt.pf ppf "states=%d accepting=%d mtbdd-nodes=%d" a.nstates
-    (Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 a.accept)
-    edges
-
-let () = ignore Log.debug

@@ -92,8 +92,6 @@ val accepts : t -> tree -> bool
 val size : t -> int
 (** Number of states. *)
 
-val pp_stats : Format.formatter -> t -> unit
-
 val pp_tree : Format.formatter -> tree -> unit
 
 val equal_tree : tree -> tree -> bool

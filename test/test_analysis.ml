@@ -239,6 +239,26 @@ let test_css_fusion () =
   | Analysis.Equiv_unknown _ ->
     Alcotest.fail "unexpected Unknown under unlimited budget"
 
+(* --- the encoder's ablation toggles keep E3's and E5's verdicts --- *)
+
+let test_ablations_keep_verdicts () =
+  let sc = Programs.load Programs.size_counting in
+  let css = Programs.load Programs.css_minification_seq
+  and cssf = Programs.load Programs.css_minification_fused in
+  List.iter
+    (fun (what, field_sensitive, prune) ->
+      Alcotest.(check string) (what ^ ": E3") "data-race-free"
+        (fst
+           (Analysis.render_race
+              (Analysis.check_data_race ~field_sensitive ~prune sc)));
+      Alcotest.(check string) (what ^ ": E5")
+        "equivalent (bisimulation with 10 call pairs)"
+        (fst
+           (Analysis.render_equiv
+              (Analysis.check_equivalence ~field_sensitive ~prune css cssf
+                 ~map:Programs.css_minification_map))))
+    [ ("node granularity", false, true); ("no pruning", true, false) ]
+
 (* --- E7: cycletree parallelization races (slow) --- *)
 
 let test_cycletree_parallel_racy () =
@@ -345,6 +365,8 @@ let () =
             test_transform_fuse_verified;
           Alcotest.test_case "order-breaking fusion rejected" `Quick
             test_order_breaking_fusion_rejected;
+          Alcotest.test_case "ablations keep verdicts" `Quick
+            test_ablations_keep_verdicts;
         ]
         @ maybe_slow "css fusion" test_css_fusion );
       ( "cross-validation",

@@ -85,8 +85,8 @@ let test_units () =
     (Bdd.is_bot (Bdd.conj (Bdd.var 0) (Bdd.nvar 0)));
   Alcotest.(check bool) "x or not x" true
     (Bdd.is_top (Bdd.disj (Bdd.var 0) (Bdd.nvar 0)));
-  Alcotest.(check (list int)) "support" [ 0; 2 ]
-    (Bdd.support (Bdd.conj (Bdd.var 0) (Bdd.var 2)));
+  Alcotest.(check int) "root variable" 0
+    (Bdd.root_var (Bdd.conj (Bdd.var 2) (Bdd.var 0)));
   Alcotest.(check bool) "restrict" true
     (Bdd.equal (Bdd.restrict (Bdd.conj (Bdd.var 0) (Bdd.var 1)) 0 true)
        (Bdd.var 1))

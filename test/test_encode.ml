@@ -58,9 +58,7 @@ let check_configurations src =
     let { Interp.events; _ } = Interp.run info heap [] in
     List.iter
       (fun (e : Interp.event) ->
-        let formula =
-          Encode.configuration enc ns1 ~q:e.ev_block ~x:"x1"
-        in
+        let formula = Encode.configuration enc ns1 ~q:e.ev_block in
         let asg =
           full_assignment enc [ ns1 ]
             (assignment_of_event enc ns1 e)
@@ -97,7 +95,7 @@ let test_configuration_rejects_corruption () =
       (fun (ev : Interp.event) -> List.length ev.ev_stack >= 3)
       events
   in
-  let formula = Encode.configuration enc ns1 ~q:e.ev_block ~x:"x1" in
+  let formula = Encode.configuration enc ns1 ~q:e.ev_block in
   let good = assignment_of_event enc ns1 e in
   (* corrupt: the main record claims a non-root node *)
   let bad =
@@ -139,20 +137,18 @@ let test_schedule_predicates () =
             let holds cases =
               List.exists (fun f -> Mso.eval shape asg f) cases
             in
-            let current1 = Some (e1.Interp.ev_block, "x1")
-            and current2 = Some (e2.Interp.ev_block, "x2") in
+            let q1 = e1.Interp.ev_block and q2 = e2.Interp.ev_block in
             if Interp.unordered info e1 e2 then begin
               incr checked_par;
               if
                 not
                   (holds
-                     (Encode.parallel_cases enc ns1 ns2 ~current1 ~current2))
+                     (Encode.parallel_cases enc ns1 ns2 ~q1 ~q2))
               then
                 Alcotest.failf
                   "concretely unordered pair (%s,%s) satisfies no Parallel \
                    case"
-                  (Blocks.block info e1.Interp.ev_block).label
-                  (Blocks.block info e2.Interp.ev_block).label
+                  (Blocks.block info q1).label (Blocks.block info q2).label
             end
             else begin
               (* concretely ordered or branch-exclusive; if both occurred in
@@ -161,15 +157,13 @@ let test_schedule_predicates () =
               if
                 not
                   (holds
-                     (Encode.ordered_cases enc ns1 ns2 ~current1 ~current2)
+                     (Encode.ordered_cases enc ns1 ns2 ~q1 ~q2)
                   || holds
-                       (Encode.ordered_cases enc ns2 ns1
-                          ~current1:current2 ~current2:current1))
+                       (Encode.ordered_cases enc ns2 ns1 ~q1:q2 ~q2:q1))
               then
                 Alcotest.failf
                   "concretely ordered pair (%s,%s) satisfies no Ordered case"
-                  (Blocks.block info e1.Interp.ev_block).label
-                  (Blocks.block info e2.Interp.ev_block).label
+                  (Blocks.block info q1).label (Blocks.block info q2).label
             end
           end)
         arr)
@@ -232,11 +226,10 @@ Main(n) { m: F(n, 3); mret: return }
    same arguments.  The calls are those the race and equivalence queries
    make for every dependent block pair of every bundled program, under
    both programs' namespace pairs (one also reversed, as the equivalence
-   query orders the transformed program's cases), one pair that mixes
-   them, and with the current nodes either way round: a memo key that
-   dropped a namespace or a node would hand one of them a formula built
-   for another.  Each fresh encoder serves one namespace pair and node
-   order, so no two of its calls differ only there. *)
+   query orders the transformed program's cases) and one pair that mixes
+   them: a memo key that dropped a namespace would hand one of them a
+   formula built for another.  Each fresh encoder serves one namespace
+   pair, so no two of its calls differ only there. *)
 let ns_q1 = { Encode.tag = "'"; cfg = 1 }
 let ns_q2 = { Encode.tag = "'"; cfg = 2 }
 
@@ -257,34 +250,26 @@ let test_memo () =
       in
       List.iter
         (fun (na, nb) ->
+          let fresh = Encode.make info in
+          let check what build =
+            let f = build enc in
+            if build enc != f then
+              Alcotest.failf "%s: a repeated %s was built again" name what;
+            if f <> build fresh then
+              Alcotest.failf "%s: %s differs from a fresh encoder's" name what
+          in
           List.iter
-            (fun (xa, xb) ->
-              let fresh = Encode.make info in
-              let check what build =
-                let f = build enc in
-                if build enc != f then
-                  Alcotest.failf "%s: a repeated %s was built again" name what;
-                if f <> build fresh then
-                  Alcotest.failf "%s: %s differs from a fresh encoder's" name
-                    what
-              in
-              List.iter
-                (fun (q1, q2) ->
-                  let current1 = Some (q1, xa) and current2 = Some (q2, xb) in
-                  check "configuration" (fun e ->
-                      Encode.configuration e na ~q:q1 ~x:xa);
-                  check "configuration" (fun e ->
-                      Encode.configuration e nb ~q:q2 ~x:xb);
-                  check "conflict" (fun e ->
-                      Encode.conflict_access e na nb ~q1 ~x1:xa ~q2 ~x2:xb);
-                  check "dependence" (fun e ->
-                      Encode.dependence e na nb ~q1 ~x1:xa ~q2 ~x2:xb);
-                  check "ordered cases" (fun e ->
-                      Encode.ordered_cases e na nb ~current1 ~current2);
-                  check "parallel cases" (fun e ->
-                      Encode.parallel_cases e na nb ~current1 ~current2))
-                pairs)
-            [ ("x1", "x2"); ("x2", "x1") ])
+            (fun (q1, q2) ->
+              check "configuration" (fun e -> Encode.configuration e na ~q:q1);
+              check "configuration" (fun e -> Encode.configuration e nb ~q:q2);
+              check "conflict" (fun e ->
+                  Encode.conflict_access e na nb ~q1 ~q2);
+              check "dependence" (fun e -> Encode.dependence e na nb ~q1 ~q2);
+              check "ordered cases" (fun e ->
+                  Encode.ordered_cases e na nb ~q1 ~q2);
+              check "parallel cases" (fun e ->
+                  Encode.parallel_cases e na nb ~q1 ~q2))
+            pairs)
         [ (ns1, ns2); (ns_q1, ns_q2); (ns_q2, ns_q1); (ns1, ns_q2) ])
     Programs.all_named
 
