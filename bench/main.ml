@@ -299,7 +299,7 @@ let figure_b_raw () =
   let env = Encode.query_env [ (enc, [ ns1 ]) ] in
   let config_formula = Encode.configuration enc ns1 ~q:10 in
   let base = Mso.compile env config_formula in
-  let sing = Mso.compile env (Mso.Sing "x2") in
+  let sing = Mso.compile env (Mso.mk (Mso.Sing "x2")) in
   let tree = Heap.complete_tree ~height:6 ~init:(fun _ -> []) in
   let tests =
     [

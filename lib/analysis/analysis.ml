@@ -201,13 +201,14 @@ let check_data_race ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
       first_counterexample env (q1, q2)
         (List.map
            (fun case ->
-             Mso.And
-               [
-                 Encode.configuration enc ns_p1 ~q:q1;
-                 Encode.configuration enc ns_p2 ~q:q2;
-                 Encode.conflict_access enc ns_p1 ns_p2 ~q1 ~q2;
-                 case;
-               ])
+             Mso.mk
+               (Mso.And
+                  [
+                    Encode.configuration enc ns_p1 ~q:q1;
+                    Encode.configuration enc ns_p2 ~q:q2;
+                    Encode.conflict_access enc ns_p1 ns_p2 ~q1 ~q2;
+                    case;
+                  ]))
            (Encode.parallel_cases enc ns_p1 ns_p2 ~q1 ~q2))
     in
     let total = List.length pairs in
@@ -517,11 +518,12 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
           (fun cp ->
             List.map
               (fun cp' ->
-                Mso.And
-                  [
-                    Mso.And [ dep_p q1 q2; cp ];
-                    Mso.And [ dep_p' q1' q2'; cp' ];
-                  ])
+                Mso.mk
+                  (Mso.And
+                     [
+                       Mso.mk (Mso.And [ dep_p q1 q2; cp ]);
+                       Mso.mk (Mso.And [ dep_p' q1' q2'; cp' ]);
+                     ]))
               cases_p')
           cases_p
       in

@@ -236,24 +236,28 @@ let query_env groups : Mso.env =
     [pi]. *)
 let rec path_rel u (pi : Ast.dir list) v : Mso.formula =
   match pi with
-  | [] -> Mso.EqPos (u, v)
-  | [ Ast.L ] -> Mso.LeftOf (u, v)
-  | [ Ast.R ] -> Mso.RightOf (u, v)
+  | [] -> Mso.mk (Mso.EqPos (u, v))
+  | [ Ast.L ] -> Mso.mk (Mso.LeftOf (u, v))
+  | [ Ast.R ] -> Mso.mk (Mso.RightOf (u, v))
   | d :: rest ->
     let w = Printf.sprintf "w%d" (List.length rest) in
     let step =
-      match d with Ast.L -> Mso.LeftOf (u, w) | Ast.R -> Mso.RightOf (u, w)
+      Mso.mk
+        (match d with Ast.L -> Mso.LeftOf (u, w) | Ast.R -> Mso.RightOf (u, w))
     in
-    Mso.Exists1 (w, Mso.and_l [ step; path_rel w rest v ])
+    Mso.mk (Mso.Exists1 (w, Mso.and_l [ step; path_rel w rest v ]))
 
 (** The node at [u.pi] exists and is (or is not) nil. *)
 let nil_at u (pi : Ast.dir list) ~(polarity : bool) : Mso.formula =
   match pi with
-  | [] -> if polarity then Mso.IsNil u else Mso.not_ (Mso.IsNil u)
+  | [] ->
+    let nil = Mso.mk (Mso.IsNil u) in
+    if polarity then nil else Mso.not_ nil
   | _ ->
     let w = "wn" in
-    let tail = if polarity then Mso.IsNil w else Mso.not_ (Mso.IsNil w) in
-    Mso.Exists1 (w, Mso.and_l [ path_rel u pi w; tail ])
+    let nil = Mso.mk (Mso.IsNil w) in
+    let tail = if polarity then nil else Mso.not_ nil in
+    Mso.mk (Mso.Exists1 (w, Mso.and_l [ path_rel u pi w; tail ]))
 
 (* ------------------------------------------------------------------ *)
 (* Path conditions                                                     *)
@@ -264,7 +268,7 @@ let guard_formula t ns u (cid, pol) : Mso.formula =
   match Symexec.cond_nil t.sym cid with
   | Some pi -> nil_at u pi ~polarity:pol
   | None ->
-    let c = Mso.Mem (u, cond_var t ns cid) in
+    let c = Mso.mk (Mso.Mem (u, cond_var t ns cid)) in
     if pol then c else Mso.not_ c
 
 (** The structural part of [Match]: where block [q] of the frame at [u]
@@ -272,7 +276,7 @@ let guard_formula t ns u (cid, pol) : Mso.formula =
 let match_rel t u q v : Mso.formula =
   match (Blocks.block t.info q).block with
   | Ast.Call c -> path_rel u c.target v
-  | Ast.Straight _ -> Mso.EqPos (u, v)
+  | Ast.Straight _ -> Mso.mk (Mso.EqPos (u, v))
 
 (** [PathCond_{s,q}(u, v)] (independent of [s]): the record of block [q]
     at [v] is reachable from its frame record at [u]. *)
@@ -288,12 +292,16 @@ let path_cond t ns q (u, v) : Mso.formula =
 let next_formula t ns ~current u q : Mso.formula =
   if Blocks.is_call t.info q then
     let v = "v" in
-    Mso.Exists1
-      (v, Mso.and_l [ Mso.Mem (v, block_var t ns q); path_cond t ns q (u, v) ])
+    Mso.mk
+      (Mso.Exists1
+         ( v,
+           Mso.and_l
+             [ Mso.mk (Mso.Mem (v, block_var t ns q)); path_cond t ns q (u, v) ]
+         ))
   else
     match current with
     | Some (q0, x) when q0 = q -> path_cond t ns q (u, x)
-    | _ -> Mso.False
+    | _ -> Mso.false_
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
@@ -320,11 +328,17 @@ let configuration t ns ~q : Mso.formula =
     List.partition (fun s -> call_reaches_block t s q) (all_call_ids t)
   in
   let empties =
-    Mso.and_l (List.map (fun s -> Mso.EmptySet (block_var t ns s)) irrelevant)
+    Mso.and_l
+      (List.map (fun s -> Mso.mk (Mso.EmptySet (block_var t ns s))) irrelevant)
   in
   let main_at_root =
     (* L(main, root) and nowhere else *)
-    Mso.Forall1 (u, Mso.iff (Mso.Mem (u, block_var t ns main_id)) (Mso.Root u))
+    Mso.mk
+      (Mso.Forall1
+         ( u,
+           Mso.iff
+             (Mso.mk (Mso.Mem (u, block_var t ns main_id)))
+             (Mso.mk (Mso.Root u)) ))
   in
   let successor =
     (* every call record has exactly one successor it reaches *)
@@ -348,17 +362,17 @@ let configuration t ns ~q : Mso.formula =
                       (fun tb' ->
                         if tb' = tb then None
                         else
-                          match Mso.not_ (next_formula t ns ~current u tb') with
-                          | Mso.True -> None
-                          | f -> Some f)
+                          let f = Mso.not_ (next_formula t ns ~current u tb') in
+                          match f.Mso.node with Mso.True -> None | _ -> Some f)
                       ts))
              ts)
       in
-      Mso.imp (Mso.Mem (u, block_var t ns s)) one_of
+      Mso.imp (Mso.mk (Mso.Mem (u, block_var t ns s))) one_of
     in
     (* one quantifier per call block: ∀ distributes over ∧, and small
        quantified bodies keep the intermediate automata small *)
-    Mso.and_l (List.map (fun s -> Mso.Forall1 (u, per_call s)) relevant)
+    Mso.and_l
+      (List.map (fun s -> Mso.mk (Mso.Forall1 (u, per_call s))) relevant)
   in
   let predecessor =
     (* every record has a unique reachable predecessor; for the (only)
@@ -366,10 +380,14 @@ let configuration t ns ~q : Mso.formula =
     let uniquely_from tb node creators s =
       let v = "pv" in
       let from s' =
-        Mso.Exists1
-          (v,
-           Mso.and_l
-             [ Mso.Mem (v, block_var t ns s'); path_cond t ns tb (v, node) ])
+        Mso.mk
+          (Mso.Exists1
+             ( v,
+               Mso.and_l
+                 [
+                   Mso.mk (Mso.Mem (v, block_var t ns s'));
+                   path_cond t ns tb (v, node);
+                 ] ))
       in
       Mso.and_l
         (from s
@@ -384,7 +402,7 @@ let configuration t ns ~q : Mso.formula =
     let per_call_block tb =
       let creators = relevant_creators tb in
       Mso.imp
-        (Mso.Mem (u, block_var t ns tb))
+        (Mso.mk (Mso.Mem (u, block_var t ns tb)))
         (Mso.or_l (List.map (uniquely_from tb u creators) creators))
     in
     let current_prev =
@@ -396,7 +414,7 @@ let configuration t ns ~q : Mso.formula =
       :: List.filter_map
            (fun tb ->
              if call_reaches_block t tb q then
-               Some (Mso.Forall1 (u, per_call_block tb))
+               Some (Mso.mk (Mso.Forall1 (u, per_call_block tb)))
              else None)
            (Blocks.all_calls t.info))
   in
@@ -408,7 +426,7 @@ let configuration t ns ~q : Mso.formula =
         Blocks.conds_of_func t.info fname
         |> List.filter (fun c -> List.mem c t.arith_conds)
       in
-      if conds = [] then Mso.True
+      if conds = [] then Mso.true_
       else
         Mso.or_l
           (List.map
@@ -416,7 +434,7 @@ let configuration t ns ~q : Mso.formula =
                Mso.and_l
                  (List.map
                     (fun (c, pol) ->
-                      let m = Mso.Mem (u, cond_var t ns c) in
+                      let m = Mso.mk (Mso.Mem (u, cond_var t ns c)) in
                       if pol then m else Mso.not_ m)
                     asg))
              assignments)
@@ -424,9 +442,10 @@ let configuration t ns ~q : Mso.formula =
     Mso.and_l
       (List.filter_map
          (fun fc ->
-           match per_func fc with
+           let f = per_func fc in
+           match f.Mso.node with
            | Mso.True -> None
-           | f -> Some (Mso.Forall1 (u, f)))
+           | _ -> Some (Mso.mk (Mso.Forall1 (u, f))))
          t.consistent)
   in
   Mso.and_l [ empties; main_at_root; successor; predecessor; cond_consistency ]
@@ -464,7 +483,7 @@ let divergence_group t ns1 ns2 ~current1 ~current2 ~target1 ~target2
     Mso.or_l
       (List.map
          (fun t1 ->
-           if not (viable current1 target1 t1) then Mso.False
+           if not (viable current1 target1 t1) then Mso.false_
            else begin
              let t2s =
                List.filter
@@ -488,12 +507,13 @@ let divergence_group t ns1 ns2 ~current1 ~current2 ~target1 ~target2
            end)
          ts)
   in
-  if continuations = Mso.False then Mso.False
-  else
+  match continuations.Mso.node with
+  | Mso.False -> continuations
+  | _ ->
     Mso.and_l
       [
-        Mso.Mem (z, block_var t ns1 s);
-        Mso.Mem (z, block_var t ns2 s);
+        Mso.mk (Mso.Mem (z, block_var t ns1 s));
+        Mso.mk (Mso.Mem (z, block_var t ns2 s));
         continuations;
       ]
 
@@ -554,7 +574,7 @@ let divergence_cases t ns1 ns2 ~q1 ~q2 rel : Mso.formula list =
     let incl =
       List.map (fun c -> (cond_var t ns1 c, cond_var t ns2 c)) t.arith_conds
     in
-    Mso.AgreeAbove (z, strict, incl)
+    Mso.mk (Mso.AgreeAbove (z, strict, incl))
   in
   (* ∃z distributes over the disjunction down to the per-call groups.
      Keeping each group under its own quantifier is essential: an
@@ -566,10 +586,11 @@ let divergence_cases t ns1 ns2 ~q1 ~q2 rel : Mso.formula list =
      pairwise.  Shared (call/call) groups are also cached across all
      block-pair queries with the same function targets. *)
   let wrap inner =
-    if inner = Mso.False then Mso.False
-    else Mso.Exists1 (z, Mso.And [ inner; agree ])
+    match inner.Mso.node with
+    | Mso.False -> None
+    | _ -> Some (Mso.mk (Mso.Exists1 (z, Mso.mk (Mso.And [ inner; agree ]))))
   in
-  List.filter (( <> ) Mso.False) (List.map wrap shared @ List.map wrap specific)
+  List.filter_map wrap shared @ List.filter_map wrap specific
 
 (** The disjuncts of "the configuration of [ns1], at block [q1], is
     scheduled strictly before that of [ns2], at block [q2]": one formula
@@ -619,7 +640,8 @@ let conflict_access t ns1 ns2 ~q1 ~q2 : Mso.formula =
     List.map
       (fun (p1, p2) ->
         let z = "zc" in
-        Mso.Exists1 (z, Mso.and_l [ path_rel x1 p1 z; path_rel x2 p2 z ]))
+        Mso.mk
+          (Mso.Exists1 (z, Mso.and_l [ path_rel x1 p1 z; path_rel x2 p2 z ])))
       (List.sort_uniq compare pairs)
   in
   (* var/var: same variable of the same frame *)
@@ -641,9 +663,9 @@ let conflict_access t ns1 ns2 ~q1 ~q2 : Mso.formula =
         (fun s ->
           Mso.and_l
             [
-              Mso.EqPos (x1, x2);
-              Mso.Mem (x1, block_var t ns1 s);
-              Mso.Mem (x2, block_var t ns2 s);
+              Mso.mk (Mso.EqPos (x1, x2));
+              Mso.mk (Mso.Mem (x1, block_var t ns1 s));
+              Mso.mk (Mso.Mem (x2, block_var t ns2 s));
             ])
         common_creators
   in
@@ -667,10 +689,10 @@ let conflict_access t ns1 ns2 ~q1 ~q2 : Mso.formula =
                   Some
                     (Mso.and_l
                        [
-                         Mso.Mem (x_w, block_var t ns_w tc);
-                         Mso.Mem (x_r, block_var t ns_w s);
+                         Mso.mk (Mso.Mem (x_w, block_var t ns_w tc));
+                         Mso.mk (Mso.Mem (x_r, block_var t ns_w s));
                          path_cond t ns_w tc (x_r, x_w);
-                         Mso.Mem (x_r, block_var t ns_r s);
+                         Mso.mk (Mso.Mem (x_r, block_var t ns_r s));
                        ])
                 else None)
               (frame_creators t tc))
@@ -700,17 +722,18 @@ let conflict_access t ns1 ns2 ~q1 ~q2 : Mso.formula =
                     if List.mem s (frame_creators t t2c) then
                       let z = "zr" in
                       Some
-                        (Mso.Exists1
-                           (z,
-                            Mso.and_l
-                              [
-                                Mso.Mem (z, block_var t ns1 s);
-                                Mso.Mem (z, block_var t ns2 s);
-                                path_cond t ns1 t1c (z, x1);
-                                path_cond t ns2 t2c (z, x2);
-                                Mso.Mem (x1, block_var t ns1 t1c);
-                                Mso.Mem (x2, block_var t ns2 t2c);
-                              ]))
+                        (Mso.mk
+                           (Mso.Exists1
+                              ( z,
+                                Mso.and_l
+                                  [
+                                    Mso.mk (Mso.Mem (z, block_var t ns1 s));
+                                    Mso.mk (Mso.Mem (z, block_var t ns2 s));
+                                    path_cond t ns1 t1c (z, x1);
+                                    path_cond t ns2 t2c (z, x2);
+                                    Mso.mk (Mso.Mem (x1, block_var t ns1 t1c));
+                                    Mso.mk (Mso.Mem (x2, block_var t ns2 t2c));
+                                  ] )))
                     else None)
                   (frame_creators t t1c))
             (Blocks.callers_of t.info q2))
@@ -722,17 +745,19 @@ let conflict_access t ns1 ns2 ~q1 ~q2 : Mso.formula =
     conflict. *)
 let dependence t ns1 ns2 ~q1 ~q2 : Mso.formula =
   memo t.formulas (Dependence (ns1, ns2, q1, q2)) @@ fun () ->
-  Mso.And
-    [
-      configuration t ns1 ~q:q1;
-      configuration t ns2 ~q:q2;
-      conflict_access t ns1 ns2 ~q1 ~q2;
-    ]
+  Mso.mk
+    (Mso.And
+       [
+         configuration t ns1 ~q:q1;
+         configuration t ns2 ~q:q2;
+         conflict_access t ns1 ns2 ~q1 ~q2;
+       ])
 
 (** Can the pair possibly conflict at all?  A cheap static prefilter. *)
 let may_conflict t q1 q2 : bool =
-  conflict_access t { tag = "a"; cfg = 1 } { tag = "a"; cfg = 2 } ~q1 ~q2
-  <> Mso.False
+  match (conflict_access t { tag = "a"; cfg = 1 } { tag = "a"; cfg = 2 } ~q1 ~q2).Mso.node with
+  | Mso.False -> false
+  | _ -> true
 
 (** [DataRace⟦P⟧] for the current blocks [q1] and [q2], whole: the two
     configurations are dependent and may occur in either order.  Its

@@ -59,6 +59,7 @@ type state = {
   step_limit : int;
   mutable nodes : int;
   mutable steps : int;
+  mutable formulas : int;
 }
 
 (* The installed budget is domain-local: each domain (pool workers
@@ -100,6 +101,11 @@ let check_states n =
   match !(current ()) with
   | None -> ()
   | Some st -> if n > st.state_limit then out Auto_states n st.state_limit
+
+let note_formula () =
+  match !(current ()) with
+  | None -> ()
+  | Some st -> st.formulas <- st.formulas + 1
 
 let now () = Unix.gettimeofday ()
 
@@ -148,6 +154,7 @@ let install b =
     step_limit = cap b.max_steps p_steps;
     nodes = 0;
     steps = 0;
+    formulas = 0;
   }
 
 let guarded f =
@@ -159,7 +166,7 @@ let guarded f =
   | exception Out_of_memory ->
     Error { resource = Heap_memory; used = 0; limit = 0 }
 
-type usage = { wall_s : float; nodes : int; steps : int }
+type usage = { wall_s : float; nodes : int; steps : int; formulas : int }
 
 let metered f =
   (* Like the installing branch of [with_budget unlimited], but the
@@ -174,13 +181,15 @@ let metered f =
   let u =
     { wall_s = Unix.gettimeofday () -. st.started;
       nodes = st.nodes;
-      steps = st.steps }
+      steps = st.steps;
+      formulas = st.formulas }
   in
   cell := parent;
   (match parent with
   | Some p ->
     p.nodes <- p.nodes + st.nodes;
-    p.steps <- p.steps + st.steps
+    p.steps <- p.steps + st.steps;
+    p.formulas <- p.formulas + st.formulas
   | None -> ());
   (r, u)
 
@@ -199,7 +208,8 @@ let with_budget b f =
       | Some p ->
         (* charge consumption back so sibling extents share the caps *)
         p.nodes <- p.nodes + st.nodes;
-        p.steps <- p.steps + st.steps
+        p.steps <- p.steps + st.steps;
+        p.formulas <- p.formulas + st.formulas
       | None -> ()
     in
     let r =

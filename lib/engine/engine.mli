@@ -75,12 +75,13 @@ type usage = {
   wall_s : float;  (** elapsed wall-clock seconds *)
   nodes : int;  (** fresh hash-consed BDD/MTBDD nodes allocated *)
   steps : int;  (** abstract solver steps ({!tick} calls) *)
+  formulas : int;  (** MSO formula nodes built ({!note_formula} calls) *)
 }
 
 val metered : (unit -> 'a) -> ('a, reason) result * usage
 (** [metered f] runs [f] in a transparent accounting extent: no limits
     of its own (it inherits whatever remains of any enclosing budget),
-    but the node/step consumption of the extent — including nested
+    but the node, step and formula consumption of the extent — including nested
     {!with_budget} extents, which charge back on exit — is reported.
     Verdicts and fault-hit sequences are unaffected: the hooks merely
     count instead of being no-ops.  Exceptions are guarded exactly as
@@ -152,7 +153,7 @@ val leftover : budget -> deadline:float option -> budget
 
 (** {1 Cooperative check hooks}
 
-    All three are no-ops (a single [ref] read) when no budget is
+    All four are no-ops (a single [ref] read) when no budget is
     installed. *)
 
 val tick : unit -> unit
@@ -167,3 +168,7 @@ val note_bdd_node : unit -> unit
 val check_states : int -> unit
 (** Raise if an automaton under construction has grown past the
     per-construction state cap. *)
+
+val note_formula : unit -> unit
+(** One MSO formula node built; counts toward {!usage.formulas} and
+    limits nothing.  Called from [Mso.mk]. *)

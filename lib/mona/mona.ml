@@ -19,7 +19,7 @@ let keyword_safe v =
 
 let rec pp_formula ppf (f : Mso.formula) =
   let v = keyword_safe in
-  match f with
+  match f.node with
   | Mso.True -> Fmt.string ppf "true"
   | Mso.False -> Fmt.string ppf "false"
   | Mso.Sub (a, b) -> Fmt.pf ppf "%s sub %s" (v a) (v b)

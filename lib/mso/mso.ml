@@ -1,6 +1,16 @@
 type var = string
 
-type formula =
+(* What the compiler reads of a node, filled from its children's slots
+   the first time it is needed and kept: the free variables in order of
+   first occurrence, and a hash of the node's shape in which each free
+   variable is numbered by its first occurrence and each bound one by its
+   binder.  Both are alpha-invariant, so every node is walked once in its
+   life instead of once per compile-cache lookup of each of its
+   ancestors.  The slot is a pure function of the node: two domains that
+   fill it at once store equal values. *)
+type slot = { fv : var array; shape : int }
+
+type node =
   | True
   | False
   | Sub of var * var
@@ -25,85 +35,162 @@ type formula =
   | Exists1 of var * formula
   | Forall1 of var * formula
 
+and formula = { node : node; mutable slot : slot }
+
+(* The slot of a node not filled yet, told apart by physical equality. *)
+let unfilled = { fv = [||]; shape = 0 }
+
+let mk node =
+  Engine.note_formula ();
+  { node; slot = unfilled }
+
+let true_ = mk True
+let false_ = mk False
+
 (* ------------------------------------------------------------------ *)
 (* Smart constructors                                                  *)
 
 let and_l fs =
   let rec flatten acc = function
     | [] -> Some (List.rev acc)
-    | True :: rest -> flatten acc rest
-    | False :: _ -> None
-    | And gs :: rest -> flatten acc (gs @ rest)
-    | f :: rest -> flatten (f :: acc) rest
+    | f :: rest -> (
+      match f.node with
+      | True -> flatten acc rest
+      | False -> None
+      | And gs -> flatten acc (gs @ rest)
+      | _ -> flatten (f :: acc) rest)
   in
   match flatten [] fs with
-  | None -> False
-  | Some [] -> True
+  | None -> false_
+  | Some [] -> true_
   | Some [ f ] -> f
-  | Some fs -> And fs
+  | Some fs -> mk (And fs)
 
 let or_l fs =
   let rec flatten acc = function
     | [] -> Some (List.rev acc)
-    | False :: rest -> flatten acc rest
-    | True :: _ -> None
-    | Or gs :: rest -> flatten acc (gs @ rest)
-    | f :: rest -> flatten (f :: acc) rest
+    | f :: rest -> (
+      match f.node with
+      | False -> flatten acc rest
+      | True -> None
+      | Or gs -> flatten acc (gs @ rest)
+      | _ -> flatten (f :: acc) rest)
   in
   match flatten [] fs with
-  | None -> True
-  | Some [] -> False
+  | None -> true_
+  | Some [] -> false_
   | Some [ f ] -> f
-  | Some fs -> Or fs
+  | Some fs -> mk (Or fs)
 
-let not_ = function
-  | True -> False
-  | False -> True
-  | Not f -> f
-  | f -> Not f
+let not_ f =
+  match f.node with
+  | True -> false_
+  | False -> true_
+  | Not g -> g
+  | _ -> mk (Not f)
 
 let rec imp a b =
-  match (a, b) with
-  | True, b -> b
-  | False, _ -> True
-  | a, False -> not_ a
-  | _, True -> True
-  | a, And bs ->
+  match (a.node, b.node) with
+  | True, _ -> b
+  | False, _ -> true_
+  | _, False -> not_ a
+  | _, True -> true_
+  | _, And bs ->
     (* distribute: a → (b1 ∧ b2) = (a → b1) ∧ (a → b2); subformula caching
        in the compiler makes the duplicated antecedent cheap, and universal
        quantifiers then distribute over the resulting conjunction *)
     and_l (List.map (imp a) bs)
-  | _ -> Imp (a, b)
+  | _ -> mk (Imp (a, b))
 
 let iff a b =
-  match (a, b) with
-  | True, b -> b
-  | b, True -> b
-  | False, b -> not_ b
-  | b, False -> not_ b
-  | _ -> Iff (a, b)
+  match (a.node, b.node) with
+  | True, _ -> b
+  | _, True -> a
+  | False, _ -> not_ b
+  | _, False -> not_ a
+  | _ -> mk (Iff (a, b))
 
 (* ------------------------------------------------------------------ *)
-(* Free variables                                                      *)
+(* Slots                                                               *)
 
-module VSet = Set.Make (String)
+let mix h x =
+  let h = (h lxor x) * 0x3C6EF372FE94F82B in
+  h lxor (h lsr 31)
 
-let rec fv = function
-  | True | False -> VSet.empty
-  | Sub (a, b) | EqSet (a, b) | Mem (a, b) | EqPos (a, b)
-  | LeftOf (a, b) | RightOf (a, b) | Reach (a, b) ->
-    VSet.of_list [ a; b ]
-  | EmptySet a | Sing a | Root a | IsNil a -> VSet.singleton a
-  | AgreeAbove (z, strict, incl) ->
-    VSet.of_list
-      (z :: List.concat_map (fun (a, b) -> [ a; b ]) (strict @ incl))
-  | Not f -> fv f
-  | And fs | Or fs -> List.fold_left (fun s f -> VSet.union s (fv f)) VSet.empty fs
-  | Imp (a, b) | Iff (a, b) -> VSet.union (fv a) (fv b)
-  | Exists2 (x, f) | Forall2 (x, f) | Exists1 (x, f) | Forall1 (x, f) ->
-    VSet.remove x (fv f)
+(* The free variables of a node being filled, newest first: [number]
+   gives each its index in order of first occurrence. *)
+type seen = { mutable vars : var list; mutable count : int }
 
-let free_vars f = VSet.elements (fv f)
+let number seen v =
+  let rec find i = function
+    | w :: rest -> if String.equal w v then seen.count - 1 - i else find (i + 1) rest
+    | [] ->
+      seen.vars <- v :: seen.vars;
+      seen.count <- seen.count + 1;
+      seen.count - 1
+  in
+  find 0 seen.vars
+
+let rec slot f =
+  if f.slot != unfilled then f.slot
+  else begin
+    let s = fill f.node in
+    f.slot <- s;
+    s
+  end
+
+(* A node's slot from its children's: a child contributes its shape and,
+   for each of its free variables, the index of that variable in the
+   node's own order, or -1 for the variable the node binds. *)
+and fill node =
+  let seen = { vars = []; count = 0 } in
+  let var h v = mix h (number seen v) in
+  let pairs h ps =
+    List.fold_left (fun h (a, b) -> var (var h a) b) (mix h (List.length ps)) ps
+  in
+  let child ?bound h g =
+    let s = slot g in
+    Array.fold_left
+      (fun h v ->
+        match bound with
+        | Some x when String.equal x v -> mix h (-1)
+        | _ -> var h v)
+      (mix h s.shape) s.fv
+  in
+  let children h gs =
+    List.fold_left (fun h g -> child h g) (mix h (List.length gs)) gs
+  in
+  let shape =
+    match node with
+    | True -> 1
+    | False -> 2
+    | Sub (a, b) -> var (var 3 a) b
+    | EqSet (a, b) -> var (var 4 a) b
+    | EmptySet a -> var 5 a
+    | Sing a -> var 6 a
+    | Mem (a, b) -> var (var 7 a) b
+    | EqPos (a, b) -> var (var 8 a) b
+    | LeftOf (a, b) -> var (var 9 a) b
+    | RightOf (a, b) -> var (var 10 a) b
+    | Root a -> var 11 a
+    | IsNil a -> var 12 a
+    | Reach (a, b) -> var (var 13 a) b
+    | AgreeAbove (z, strict, incl) -> pairs (pairs (var 14 z) strict) incl
+    | Not g -> child 15 g
+    | And gs -> children 16 gs
+    | Or gs -> children 17 gs
+    | Imp (a, b) -> child (child 18 a) b
+    | Iff (a, b) -> child (child 19 a) b
+    | Exists2 (x, g) -> child ~bound:x 20 g
+    | Forall2 (x, g) -> child ~bound:x 21 g
+    | Exists1 (x, g) -> child ~bound:x 22 g
+    | Forall1 (x, g) -> child ~bound:x 23 g
+  in
+  { fv = Array.of_list (List.rev seen.vars); shape }
+
+let free_vars f = Array.to_list (slot f).fv
+
+let mentions x f = Array.exists (String.equal x) (slot f).fv
 
 (* ------------------------------------------------------------------ *)
 (* Atom automata.
@@ -242,16 +329,21 @@ let canonical names bound v =
   in
   go 0 bound
 
-(* Equality of canonical forms.  Two subformulas over the same free
-   variables that are equal as they stand are equal canonically; that is
-   the common case, and [compare] decides it in C, at once on physically
-   equal terms. *)
+(* Equality of canonical forms, decided exactly: a hit never rests on a
+   hash.  A node physically shared by both sides (the encoder's memo
+   shares most) is equal to itself exactly when each of its free
+   variables is numbered alike on both sides; nodes whose shapes differ
+   are not alpha-equivalent, so the walk stops there at once.  Both
+   formulas were keyed, so every slot below them is filled. *)
 let alpha_equal k1 k2 =
   let n1 = k1.names and n2 = k2.names in
   let rec eq b1 b2 f1 f2 =
     let v a c = canonical n1 b1 a = canonical n2 b2 c in
+    if f1 == f2 then Array.for_all (fun a -> v a a) (slot f1).fv
+    else (slot f1).shape = (slot f2).shape && eq_node b1 b2 v f1.node f2.node
+  and eq_node b1 b2 v n1 n2 =
     let pairs = List.equal (fun (a, b) (c, d) -> v a c && v b d) in
-    match (f1, f2) with
+    match (n1, n2) with
     | True, True | False, False -> true
     | Sub (a, b), Sub (c, d)
     | EqSet (a, b), EqSet (c, d)
@@ -277,10 +369,7 @@ let alpha_equal k1 k2 =
       eq (x :: b1) (y :: b2) g h
     | _ -> false
   in
-  Array.length n1 = Array.length n2
-  && k1.kinds = k2.kinds
-  && ((Array.for_all2 String.equal n1 n2 && compare k1.f k2.f = 0)
-     || eq [] [] k1.f k2.f)
+  Array.length n1 = Array.length n2 && k1.kinds = k2.kinds && eq [] [] k1.f k2.f
 
 module Cache = Hashtbl.Make (struct
   type t = key
@@ -306,94 +395,45 @@ let cache () = Solver_ctx.get_current cache_slot
 let () = Faults.on_flush (fun () -> Cache.reset (cache ()))
 
 (* The compiler's environment: each variable in scope with its track and
-   kind, innermost binding first.  The kinds travel with the compile, so
-   compiles on two domains never see each other's. *)
+   kind.  The declared variables sit in a hash table, the bound ones in a
+   list, innermost first.  The kinds travel with the compile, so compiles
+   on two domains never see each other's. *)
 type binding = { tr : int; kind : kind }
 
-(* The binding of [v] under [tenv]: its first binding is in effect.
+type tenv = { declared : (var, binding) Hashtbl.t; bound : (var * binding) list }
+
+(* The binding of [v] under [tenv]: its innermost binding is in effect.
    [compile] builds the key of its formula before compiling anything, so
    an undeclared free variable is reported from here. *)
 let binding tenv v =
-  match List.assoc_opt v tenv with
-  | Some b -> b
-  | None ->
-    invalid_arg (Printf.sprintf "Mso.compile: free variable %s undeclared" v)
+  let rec bound = function
+    | (w, b) :: rest -> if String.equal w v then b else bound rest
+    | [] -> (
+      match Hashtbl.find_opt tenv.declared v with
+      | Some b -> b
+      | None ->
+        invalid_arg
+          (Printf.sprintf "Mso.compile: free variable %s undeclared" v))
+  in
+  bound tenv.bound
 
 let track tenv v = (binding tenv v).tr
 
 (* The key of [f] under [tenv], and the tracks of its free variables in
-   ascending order, from one walk.  The hash reads the whole formula,
-   with each bound variable numbered by its de Bruijn index and each free
-   one by its first occurrence, and then the order of the free
-   variables' tracks and their kinds in that order: both numberings are
-   alpha-invariant. *)
+   ascending order, read off [f]'s slot.  The hash mixes the slot's shape
+   with the order of the free variables' tracks and their kinds in that
+   order, all alpha-invariant. *)
 let key_of tenv f =
-  let first = Hashtbl.create 16 and free = ref [] in
-  let h = ref 0 in
-  let mix x = h := (!h * 31) + x in
-  let rec index i v = function
-    | b :: rest -> if String.equal b v then -1 - i else index (i + 1) v rest
-    | [] -> (
-      match Hashtbl.find_opt first v with
-      | Some k -> k
-      | None ->
-        let k = Hashtbl.length first in
-        Hashtbl.add first v k;
-        free := (v, binding tenv v) :: !free;
-        k)
-  in
-  let var bound v = mix (index 0 v bound) in
-  let rec pairs bound = function
-    | [] -> mix 0
-    | (a, b) :: rest ->
-      var bound a;
-      var bound b;
-      pairs bound rest
-  in
-  let rec walk bound f =
-    match f with
-    | True -> mix 1
-    | False -> mix 2
-    | Sub (a, b) -> mix 3; var bound a; var bound b
-    | EqSet (a, b) -> mix 4; var bound a; var bound b
-    | EmptySet a -> mix 5; var bound a
-    | Sing a -> mix 6; var bound a
-    | Mem (a, b) -> mix 7; var bound a; var bound b
-    | EqPos (a, b) -> mix 8; var bound a; var bound b
-    | LeftOf (a, b) -> mix 9; var bound a; var bound b
-    | RightOf (a, b) -> mix 10; var bound a; var bound b
-    | Root a -> mix 11; var bound a
-    | IsNil a -> mix 12; var bound a
-    | Reach (a, b) -> mix 13; var bound a; var bound b
-    | AgreeAbove (z, strict, incl) ->
-      mix 14; var bound z; pairs bound strict; pairs bound incl
-    | Not g -> mix 15; walk bound g
-    | And gs -> mix 16; walk_list bound gs
-    | Or gs -> mix 17; walk_list bound gs
-    | Imp (a, b) -> mix 18; walk bound a; walk bound b
-    | Iff (a, b) -> mix 19; walk bound a; walk bound b
-    | Exists2 (x, g) -> mix 20; walk (x :: bound) g
-    | Forall2 (x, g) -> mix 21; walk (x :: bound) g
-    | Exists1 (x, g) -> mix 22; walk (x :: bound) g
-    | Forall1 (x, g) -> mix 23; walk (x :: bound) g
-  and walk_list bound = function
-    | [] -> mix 0
-    | g :: gs ->
-      walk bound g;
-      walk_list bound gs
-  in
-  walk [] f;
-  let free = Array.of_list (List.rev !free) in
-  let by_rank = Array.init (Array.length free) Fun.id in
-  Array.sort
-    (fun k k' -> Int.compare (snd free.(k)).tr (snd free.(k')).tr)
-    by_rank;
-  Array.iter mix by_rank;
-  let free = Array.map (fun k -> free.(k)) by_rank in
-  let kinds = Array.map (fun (_, b) -> b.kind) free in
-  Array.iter (fun k -> mix (if k = FO then 1 else 2)) kinds;
-  ( { hash = Hashtbl.hash !h; f; names = Array.map fst free; kinds },
-    Array.map (fun (_, b) -> b.tr) free )
+  let { fv; shape } = slot f in
+  let free = Array.map (binding tenv) fv in
+  let by_rank = Array.init (Array.length fv) Fun.id in
+  Array.sort (fun k k' -> Int.compare free.(k).tr free.(k').tr) by_rank;
+  let h = Array.fold_left mix shape by_rank in
+  let kinds = Array.map (fun k -> free.(k).kind) by_rank in
+  let h = Array.fold_left (fun h k -> mix h (if k = FO then 1 else 2)) h kinds in
+  ( { hash = Hashtbl.hash h; f; names = Array.map (fun k -> fv.(k)) by_rank;
+      kinds },
+    Array.map (fun k -> free.(k).tr) by_rank )
 
 (* Under an armed [mso.projection_shift] a compiled automaton can read a
    track outside its free variables; such an automaton is not renamed. *)
@@ -450,7 +490,7 @@ let rec compile_sub tenv next f =
 
 and comp_raw tenv next f =
   let comp = compile_sub in
-  let bind x kind = (x, { tr = next; kind }) :: tenv in
+  let bind x kind = { tenv with bound = (x, { tr = next; kind }) :: tenv.bound } in
   let t = track tenv in
   let fo v = (binding tenv v).kind = FO in
   let fo_tracks vs =
@@ -480,13 +520,13 @@ and comp_raw tenv next f =
      over singletons. *)
   let quantify ~exists kind x g requantify =
     let again h = comp tenv next (requantify h) in
-    match (exists, g) with
+    match (exists, g.node) with
     | true, Or gs -> Treeauto.union_list (List.map again gs)
     | false, And gs -> Treeauto.inter_list (List.map again gs)
     | _ ->
       let dependent, independent =
-        match g with
-        | And gs -> List.partition (fun h -> VSet.mem x (fv h)) gs
+        match g.node with
+        | And gs -> List.partition (mentions x) gs
         | _ -> ([ g ], [])
       in
       let body = comp (bind x kind) (next + 1) (and_l dependent) in
@@ -502,7 +542,7 @@ and comp_raw tenv next f =
           (projected :: List.map (comp tenv next) independent)
       else Treeauto.complement projected
   in
-    match f with
+    match f.node with
     | True -> Treeauto.const true
     | False -> Treeauto.const false
     | Sub (a, b) -> local (var2 Bdd.imp a b) (fo_tracks [ a; b ])
@@ -537,13 +577,18 @@ and comp_raw tenv next f =
       Treeauto.minimize
         (Treeauto.union (Treeauto.inter ca cb)
            (Treeauto.inter (Treeauto.complement ca) (Treeauto.complement cb)))
-    | Exists2 (x, g) -> quantify ~exists:true SO x g (fun h -> Exists2 (x, h))
-    | Forall2 (x, g) -> quantify ~exists:false SO x g (fun h -> Forall2 (x, h))
-    | Exists1 (x, g) -> quantify ~exists:true FO x g (fun h -> Exists1 (x, h))
-    | Forall1 (x, g) -> quantify ~exists:false FO x g (fun h -> Forall1 (x, h))
+    | Exists2 (x, g) -> quantify ~exists:true SO x g (fun h -> mk (Exists2 (x, h)))
+    | Forall2 (x, g) -> quantify ~exists:false SO x g (fun h -> mk (Forall2 (x, h)))
+    | Exists1 (x, g) -> quantify ~exists:true FO x g (fun h -> mk (Exists1 (x, h)))
+    | Forall1 (x, g) -> quantify ~exists:false FO x g (fun h -> mk (Forall1 (x, h)))
 
 let compile env formula =
-  let tenv = List.mapi (fun i (v, kind) -> (v, { tr = i; kind })) env in
+  let declared = Hashtbl.create 64 in
+  List.iteri
+    (fun i (v, kind) ->
+      if not (Hashtbl.mem declared v) then Hashtbl.add declared v { tr = i; kind })
+    env;
+  let tenv = { declared; bound = [] } in
   let next = List.length env in
   (* Enforce singleton-ness of the declared first-order free variables:
      a variable that no atom reads, or one read only under a negation, is
@@ -552,9 +597,11 @@ let compile env formula =
      the singleton ones, and it is cached like any subformula: solving
      the same formula again costs a lookup. *)
   let sings =
-    List.filter_map (fun (v, k) -> if k = FO then Some (Sing v) else None) env
+    List.filter_map
+      (fun (v, k) -> if k = FO then Some (mk (Sing v)) else None)
+      env
   in
-  compile_sub tenv next (And (formula :: sings))
+  compile_sub tenv next (mk (And (formula :: sings)))
 
 (* ------------------------------------------------------------------ *)
 (* Solving                                                             *)
@@ -616,7 +663,8 @@ let eval tree assignment formula =
     | None -> invalid_arg (Printf.sprintf "Mso.eval: unbound variable %s" v)
   in
   let norm = List.sort_uniq compare in
-  let rec go asg = function
+  let rec go asg f =
+    match f.node with
     | True -> true
     | False -> false
     | Sub (a, b) ->

@@ -22,7 +22,10 @@
 
 type var = string
 
-type formula =
+type slot
+(** What the compiler caches about a node; see {!formula}. *)
+
+type node =
   | True
   | False
   | Sub of var * var  (** X ⊆ Y *)
@@ -53,6 +56,26 @@ type formula =
   | Exists1 of var * formula  (** first-order ∃ *)
   | Forall1 of var * formula
 
+and formula = private { node : node; mutable slot : slot }
+(** A node and its slot.  The slot caches the node's free variables, in
+    order of first occurrence, and a hash of its shape with every
+    variable numbered by position; the compiler fills it from the
+    children's slots the first time it needs it and keeps it, so a node
+    is walked once in its life, however often the compile cache looks up
+    its ancestors.  Build formulas with {!mk} and the smart constructors
+    below, and read them through [.node].
+
+    The slot is a cache: whether it is filled yet differs between equal
+    formulas.  So never decide anything by polymorphic [=], [<>] or
+    [compare] on formulas; match on [.node] instead. *)
+
+val mk : node -> formula
+(** A formula of the node, its slot not filled yet.  Counts one
+    {!Engine.note_formula}. *)
+
+val true_ : formula
+val false_ : formula
+
 (** {1 Smart constructors} *)
 
 val and_l : formula list -> formula
@@ -74,7 +97,7 @@ type env = (var * kind) list
 (** Declaration of the free variables of a formula, in track order. *)
 
 val free_vars : formula -> var list
-(** Free variables, sorted. *)
+(** Free variables, in order of first occurrence (read off the slot). *)
 
 type model = {
   tree : Treeauto.tree;  (** witness tree; labels are track sets *)

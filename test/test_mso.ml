@@ -4,6 +4,30 @@
 
 open Mso
 
+(* Formulas are built through [mk]: one builder per node, raw (no
+   folding), next to the smart constructors of [Mso]. *)
+let sub a b = mk (Sub (a, b))
+let eqset a b = mk (EqSet (a, b))
+let empty a = mk (EmptySet a)
+let sing a = mk (Sing a)
+let mem a b = mk (Mem (a, b))
+let eqpos a b = mk (EqPos (a, b))
+let left a b = mk (LeftOf (a, b))
+let right a b = mk (RightOf (a, b))
+let root a = mk (Root a)
+let isnil a = mk (IsNil a)
+let reach a b = mk (Reach (a, b))
+let agree z strict incl = mk (AgreeAbove (z, strict, incl))
+let neg f = mk (Not f)
+let conj fs = mk (And fs)
+let disj fs = mk (Or fs)
+let implies a b = mk (Imp (a, b))
+let equiv a b = mk (Iff (a, b))
+let ex2 x f = mk (Exists2 (x, f))
+let all2 x f = mk (Forall2 (x, f))
+let ex1 x f = mk (Exists1 (x, f))
+let all1 x f = mk (Forall1 (x, f))
+
 (* --- random formulas over a fixed variable universe --- *)
 
 let so_vars = [ "X"; "Y" ]
@@ -16,43 +40,49 @@ let atom_gen =
     let so = oneofl so_vars and fo = oneofl fo_vars in
     oneof
       [
-        map2 (fun a b -> Sub (a, b)) so so;
-        map2 (fun a b -> EqSet (a, b)) so so;
-        map (fun a -> EmptySet a) so;
-        map (fun a -> Sing a) so;
-        map2 (fun a b -> Mem (a, b)) fo so;
-        map2 (fun a b -> EqPos (a, b)) fo fo;
-        map2 (fun a b -> LeftOf (a, b)) fo fo;
-        map2 (fun a b -> RightOf (a, b)) fo fo;
-        map (fun a -> Root a) fo;
-        map (fun a -> IsNil a) fo;
-        map2 (fun a b -> Reach (a, b)) fo fo;
-        return True;
-        return False;
+        map2 sub so so;
+        map2 eqset so so;
+        map empty so;
+        map sing so;
+        map2 mem fo so;
+        map2 eqpos fo fo;
+        map2 left fo fo;
+        map2 right fo fo;
+        map root fo;
+        map isnil fo;
+        map2 reach fo fo;
+        return true_;
+        return false_;
       ])
 
-let formula_gen =
+(* With [~shadow], binders also rebind the declared names, so bound and
+   free occurrences of one name meet in a formula. *)
+let formula_gen_with ~shadow =
   QCheck2.Gen.(
     sized_size (int_bound 4) @@ fix (fun self n ->
         if n <= 0 then atom_gen
         else
           oneof
-            [
-              atom_gen;
-              map (fun f -> Not f) (self (n - 1));
-              map2 (fun a b -> And [ a; b ]) (self (n / 2)) (self (n / 2));
-              map2 (fun a b -> Or [ a; b ]) (self (n / 2)) (self (n / 2));
-              map2 (fun a b -> Imp (a, b)) (self (n / 2)) (self (n / 2));
-              (* quantifiers over fresh names to keep eval cheap *)
-              map (fun f -> Exists1 ("q", f))
-                (map
-                   (fun f -> Or [ f; Root "q" ])
-                   (self (n - 1)));
-              map (fun f -> Forall1 ("q", f))
-                (map (fun f -> Or [ f; IsNil "q" ]) (self (n - 1)));
-              map (fun f -> Exists2 ("Q", f))
-                (map (fun f -> And [ f; EmptySet "Q" ]) (self (n - 1)));
-            ]))
+            ([
+               atom_gen;
+               map neg (self (n - 1));
+               map2 (fun a b -> conj [ a; b ]) (self (n / 2)) (self (n / 2));
+               map2 (fun a b -> disj [ a; b ]) (self (n / 2)) (self (n / 2));
+               map2 implies (self (n / 2)) (self (n / 2));
+               (* quantifiers over fresh names to keep eval cheap *)
+               map (fun f -> ex1 "q" (disj [ f; root "q" ])) (self (n - 1));
+               map (fun f -> all1 "q" (disj [ f; isnil "q" ])) (self (n - 1));
+               map (fun f -> ex2 "Q" (conj [ f; empty "Q" ])) (self (n - 1));
+             ]
+            @
+            if shadow then
+              [
+                map2 ex1 (oneofl fo_vars) (self (n - 1));
+                map2 all2 (oneofl so_vars) (self (n - 1));
+              ]
+            else [])))
+
+let formula_gen = formula_gen_with ~shadow:false
 
 (* random shapes up to 7 positions *)
 let shape_gen =
@@ -124,36 +154,39 @@ let prop_models_satisfy =
 
 (* --- compile cache: alpha-equivalent subformulas share one compile --- *)
 
+(* [f] with every variable, binders included, renamed by [r]. *)
+let rec rename r f =
+  let ps = List.map (fun (a, b) -> (r a, r b)) in
+  let go = rename r in
+  match f.node with
+  | Sub (a, b) -> sub (r a) (r b)
+  | EqSet (a, b) -> eqset (r a) (r b)
+  | EmptySet a -> empty (r a)
+  | Sing a -> sing (r a)
+  | Mem (a, b) -> mem (r a) (r b)
+  | EqPos (a, b) -> eqpos (r a) (r b)
+  | LeftOf (a, b) -> left (r a) (r b)
+  | RightOf (a, b) -> right (r a) (r b)
+  | Root a -> root (r a)
+  | IsNil a -> isnil (r a)
+  | Reach (a, b) -> reach (r a) (r b)
+  | AgreeAbove (z, s, i) -> agree (r z) (ps s) (ps i)
+  | True | False -> f
+  | Not g -> neg (go g)
+  | And gs -> conj (List.map go gs)
+  | Or gs -> disj (List.map go gs)
+  | Imp (a, b) -> implies (go a) (go b)
+  | Iff (a, b) -> equiv (go a) (go b)
+  | Exists2 (x, g) -> ex2 (r x) (go g)
+  | Forall2 (x, g) -> all2 (r x) (go g)
+  | Exists1 (x, g) -> ex1 (r x) (go g)
+  | Forall1 (x, g) -> all1 (r x) (go g)
+
 (* [g] with X and Y, and x and y, exchanged: conjoined with [g], it
    makes one compile meet alpha-equivalent subformulas over other
    tracks. *)
-let rec swap = function
-  | Sub (a, b) -> Sub (sw a, sw b)
-  | EqSet (a, b) -> EqSet (sw a, sw b)
-  | EmptySet a -> EmptySet (sw a)
-  | Sing a -> Sing (sw a)
-  | Mem (a, b) -> Mem (sw a, sw b)
-  | EqPos (a, b) -> EqPos (sw a, sw b)
-  | LeftOf (a, b) -> LeftOf (sw a, sw b)
-  | RightOf (a, b) -> RightOf (sw a, sw b)
-  | Root a -> Root (sw a)
-  | IsNil a -> IsNil (sw a)
-  | Reach (a, b) -> Reach (sw a, sw b)
-  | AgreeAbove (z, s, i) ->
-    let ps = List.map (fun (a, b) -> (sw a, sw b)) in
-    AgreeAbove (sw z, ps s, ps i)
-  | (True | False) as f -> f
-  | Not f -> Not (swap f)
-  | And fs -> And (List.map swap fs)
-  | Or fs -> Or (List.map swap fs)
-  | Imp (a, b) -> Imp (swap a, swap b)
-  | Iff (a, b) -> Iff (swap a, swap b)
-  | Exists2 (x, f) -> Exists2 (x, swap f)
-  | Forall2 (x, f) -> Forall2 (x, swap f)
-  | Exists1 (x, f) -> Exists1 (x, swap f)
-  | Forall1 (x, f) -> Forall1 (x, swap f)
-
-and sw = function "X" -> "Y" | "Y" -> "X" | "x" -> "y" | "y" -> "x" | v -> v
+let swap =
+  rename (function "X" -> "Y" | "Y" -> "X" | "x" -> "y" | "y" -> "x" | v -> v)
 
 (* [env] spread over more tracks: [pads.(i)] unused second-order
    variables before the i-th variable (and after the last), so the
@@ -165,7 +198,7 @@ let spread pads =
 let equivariance_gen =
   QCheck2.Gen.(
     let* g = formula_gen in
-    let* f = oneofl [ g; And [ g; swap g ] ] in
+    let* f = oneofl [ g; conj [ g; swap g ] ] in
     let* pads = array_size (return 5) (int_bound 2) in
     let moved = Array.exists (( <> ) 0) pads in
     return (f, if moved then pads else [| 1; 0; 0; 0; 0 |]))
@@ -178,6 +211,19 @@ let same_automaton (a : Treeauto.t) (b : Treeauto.t) =
 
 let print_case (f, pads) =
   Fmt.str "%a with pads %a" Mona.pp_formula f Fmt.(Dump.array int) pads
+
+(* The track map from [env] into [env'], which holds its variables in
+   the same order, or renamed by [r] in the same order. *)
+let tracks_into ?(r = Fun.id) env' =
+  let track v =
+    let rec go i = function
+      | (w, _) :: rest -> if String.equal w (r v) then i else go (i + 1) rest
+      | [] -> assert false
+    in
+    go 0 env'
+  in
+  let map = Array.of_list (List.map (fun (v, _) -> track v) env) in
+  fun t -> map.(t)
 
 (* Compiled on fresh contexts, the formula under the spread environment
    is, node for node, the renaming of its compile under [env]: the track
@@ -194,18 +240,75 @@ let prop_compile_equivariant =
             let a = compile env f in
             (a, ordered ()))
       in
-      let track v =
-        let rec go i = function
-          | (w, _) :: rest -> if w = v then i else go (i + 1) rest
-          | [] -> assert false
-        in
-        go 0 env'
-      in
-      let to_env' = Array.of_list (List.map (fun (v, _) -> track v) env) in
       Solver_ctx.with_fresh (fun () ->
           let b = compile env' f in
-          let r = Treeauto.rename (fun t -> to_env'.(t)) a in
+          let r = Treeauto.rename (tracks_into env') a in
           a_ordered && ordered () && same_automaton b r))
+
+(* Every variable, bound or free, renamed injectively: the free ones keep
+   their order. *)
+let renamed = function
+  | "X" -> "A"
+  | "Y" -> "B"
+  | "x" -> "a"
+  | "y" -> "b"
+  | "q" -> "r"
+  | "Q" -> "R"
+  | v -> v
+
+(* An alpha-renamed copy of a compiled formula, under the renamed
+   environment spread over other tracks in the same order, is served by
+   the compile cache: it ticks no step, and its automaton is, node for
+   node, the first one renamed onto the new tracks.  A cache key that
+   read a name, bound or free, or a track would miss here. *)
+let prop_alpha_renamed_hit =
+  QCheck2.Test.make ~name:"alpha-renamed copy is a cache hit" ~count:200
+    ~print:print_case
+    QCheck2.Gen.(
+      pair (formula_gen_with ~shadow:true)
+        (array_size (return 5) (int_bound 2)))
+    (fun (f, pads) ->
+      let env' = List.map (fun (v, k) -> (renamed v, k)) (spread pads) in
+      Solver_ctx.with_fresh (fun () ->
+          let a = compile env f in
+          match Engine.metered (fun () -> compile env' (rename renamed f)) with
+          | Ok b, usage ->
+            usage.steps = 0
+            && same_automaton b
+                 (Treeauto.rename (tracks_into ~r:renamed env') a)
+          | Error _, _ -> false))
+
+(* The free variables of [f] in order of first occurrence, by a walk of
+   the whole formula: the reference for the slot. *)
+let reference_fv f =
+  let rec go bound acc f =
+    let var acc v = if List.mem v bound || List.mem v acc then acc else v :: acc in
+    match f.node with
+    | True | False -> acc
+    | Sub (a, b) | EqSet (a, b) | Mem (a, b) | EqPos (a, b)
+    | LeftOf (a, b) | RightOf (a, b) | Reach (a, b) ->
+      var (var acc a) b
+    | EmptySet a | Sing a | Root a | IsNil a -> var acc a
+    | AgreeAbove (z, strict, incl) ->
+      List.fold_left
+        (fun acc (a, b) -> var (var acc a) b)
+        (var acc z) (strict @ incl)
+    | Not g -> go bound acc g
+    | And gs | Or gs -> List.fold_left (go bound) acc gs
+    | Imp (a, b) | Iff (a, b) -> go bound (go bound acc a) b
+    | Exists2 (x, g) | Forall2 (x, g) | Exists1 (x, g) | Forall1 (x, g) ->
+      go (x :: bound) acc g
+  in
+  List.rev (go [] [] f)
+
+(* The slot's free variables are the reference walk's, also for a
+   formula built over children whose slots are filled already. *)
+let prop_free_vars =
+  QCheck2.Test.make ~name:"free vars agree with a reference walk"
+    ~count:300 ~print:(Fmt.str "%a" Mona.pp_formula)
+    (formula_gen_with ~shadow:true) (fun f ->
+      let g = conj [ f; ex1 "x" (disj [ neg f; swap f ]) ] in
+      free_vars f = reference_fv f && free_vars g = reference_fv g)
 
 (* The kinds of a subformula's free variables are part of its cache key.
    [Sub (v, X)] compiles restricted to singletons when [v] is
@@ -215,8 +318,8 @@ let prop_compile_equivariant =
    fresh context.  Both are imported into a third context, by the
    identity renaming, to be compared. *)
 let test_cache_keys_on_kinds () =
-  let over_fo = ([ ("x", FO); ("X", SO) ], Sub ("x", "X"))
-  and over_so = ([ ("y", SO); ("Y", SO) ], Sub ("y", "Y")) in
+  let over_fo = ([ ("x", FO); ("X", SO) ], sub "x" "X")
+  and over_so = ([ ("y", SO); ("Y", SO) ], sub "y" "Y") in
   let compile_case (e, f) = compile e f in
   List.iter
     (fun (order, cases) ->
@@ -247,7 +350,7 @@ let test_cache_keys_on_kinds () =
    it (the fault then fires a second time). *)
 let test_projection_shift_compiles () =
   let site = "mso.projection_shift" in
-  let f v = Exists1 ("q", Reach (v, "q")) in
+  let f v = ex1 "q" (reach v "q") in
   Solver_ctx.with_fresh (fun () ->
       Faults.arm ~period:1 ~site ~seed:1 ();
       Fun.protect ~finally:Faults.disarm (fun () ->
@@ -258,8 +361,8 @@ let test_projection_shift_compiles () =
 (* --- validities --- *)
 
 let fo_env vars : env = List.map (fun v -> (v, FO)) vars
-let forall1_many xs f = List.fold_right (fun x acc -> Forall1 (x, acc)) xs f
-let exists1_many xs f = List.fold_right (fun x acc -> Exists1 (x, acc)) xs f
+let forall1_many xs f = List.fold_right all1 xs f
+let exists1_many xs f = List.fold_right ex1 xs f
 
 (* Valid: no counter-interpretation exists. *)
 let valid e f = not (satisfiable e (not_ f))
@@ -269,47 +372,41 @@ let check_sat name f e = Alcotest.(check bool) name true (satisfiable e f)
 let check_unsat name f e = Alcotest.(check bool) name false (satisfiable e f)
 
 let test_validities () =
-  check_valid "reach reflexive" (Forall1 ("x", Reach ("x", "x"))) [];
+  check_valid "reach reflexive" (all1 "x" (reach "x" "x")) [];
   check_valid "reach transitive"
     (forall1_many [ "x"; "y"; "z" ]
-       (imp (and_l [ Reach ("x", "y"); Reach ("y", "z") ]) (Reach ("x", "z"))))
+       (imp (and_l [ reach "x" "y"; reach "y" "z" ]) (reach "x" "z")))
     [];
   check_valid "left implies proper reach"
     (forall1_many [ "x"; "y" ]
-       (imp (LeftOf ("x", "y"))
-          (and_l [ Reach ("x", "y"); not_ (EqPos ("x", "y")) ])))
+       (imp (left "x" "y") (and_l [ reach "x" "y"; not_ (eqpos "x" "y") ])))
     [];
   check_valid "unique root"
-    (Exists1 ("x", And [ Root "x"; Forall1 ("y", imp (Root "y") (EqPos ("x", "y"))) ]))
+    (ex1 "x" (conj [ root "x"; all1 "y" (imp (root "y") (eqpos "x" "y")) ]))
     [];
   check_valid "root reaches everything"
-    (forall1_many [ "x"; "y" ] (imp (Root "x") (Reach ("x", "y"))))
+    (forall1_many [ "x"; "y" ] (imp (root "x") (reach "x" "y")))
     [];
   check_valid "children are ordered"
     (forall1_many [ "x"; "y"; "z" ]
-       (imp (and_l [ LeftOf ("x", "y"); RightOf ("x", "z") ])
-          (not_ (EqPos ("y", "z")))))
+       (imp (and_l [ left "x" "y"; right "x" "z" ]) (not_ (eqpos "y" "z"))))
     []
 
 let test_satisfiability () =
-  check_sat "a nil node exists" (Exists1 ("x", IsNil "x")) [];
+  check_sat "a nil node exists" (ex1 "x" (isnil "x")) [];
   check_unsat "nil with a left child"
-    (exists1_many [ "x"; "y" ] (and_l [ IsNil "x"; LeftOf ("x", "y") ]))
+    (exists1_many [ "x"; "y" ] (and_l [ isnil "x"; left "x" "y" ]))
     [];
-  check_sat "internal node possible"
-    (Exists1 ("x", not_ (IsNil "x")))
-    [];
+  check_sat "internal node possible" (ex1 "x" (not_ (isnil "x"))) [];
   check_unsat "single position tree is a leaf, root cannot be internal and childless"
-    (Exists1 ("x", and_l [ not_ (IsNil "x");
-                           Forall1 ("y", EqPos ("x", "y")) ]))
+    (ex1 "x" (and_l [ not_ (isnil "x"); all1 "y" (eqpos "x" "y") ]))
     [];
   (* free variables *)
   check_sat "free SO var can hold all nils"
-    (Forall1 ("u", iff (Mem ("u", "X")) (IsNil "u")))
+    (all1 "u" (iff (mem "u" "X") (isnil "u")))
     [ ("X", SO) ];
   check_unsat "x below and above y strictly"
-    (and_l
-       [ Reach ("x", "y"); Reach ("y", "x"); not_ (EqPos ("x", "y")) ])
+    (and_l [ reach "x" "y"; reach "y" "x"; not_ (eqpos "x" "y") ])
     (fo_env [ "x"; "y" ])
 
 (* An undeclared free variable is refused before anything is compiled,
@@ -320,8 +417,8 @@ let test_undeclared () =
     Alcotest.check_raises ("undeclared " ^ v) (Invalid_argument msg)
       (fun () -> ignore (satisfiable [ ("x", FO) ] f))
   in
-  refused "y" (Reach ("x", "y"));
-  refused "Y" (Exists1 ("x", Mem ("x", "Y")))
+  refused "y" (reach "x" "y");
+  refused "Y" (ex1 "x" (mem "x" "Y"))
 
 let test_witness_decoding () =
   (* X = set of nil positions, plus force at least one internal node: the
@@ -329,8 +426,8 @@ let test_witness_decoding () =
   let f =
     and_l
       [
-        Forall1 ("u", iff (Mem ("u", "X")) (IsNil "u"));
-        Exists1 ("u", not_ (IsNil "u"));
+        all1 "u" (iff (mem "u" "X") (isnil "u"));
+        ex1 "u" (not_ (isnil "u"));
       ]
   in
   match solve [ ("X", SO) ] f with
@@ -353,16 +450,23 @@ let test_paper_isnil_axiom () =
      corresponding statement: no position below a nil. *)
   check_valid "nothing strictly below a nil"
     (forall1_many [ "x"; "y" ]
-       (imp (and_l [ IsNil "x"; Reach ("x", "y") ]) (EqPos ("x", "y"))))
+       (imp (and_l [ isnil "x"; reach "x" "y" ]) (eqpos "x" "y")))
     []
 
+(* Formulas are compared by their skeletons: a slot filled on one side
+   only must not tell equal formulas apart. *)
 let test_smart_constructors () =
-  Alcotest.(check bool) "and_l folds false" true (and_l [ True; False ] = False);
-  Alcotest.(check bool) "or_l folds true" true (or_l [ False; True ] = True);
-  Alcotest.(check bool) "and_l single" true (and_l [ Sing "X" ] = Sing "X");
-  Alcotest.(check bool) "not_ involutive" true (not_ (not_ (Sing "X")) = Sing "X");
+  let same name f g = Alcotest.(check bool) name true (Skeleton.equal f g) in
+  let x = sing "X" in
+  ignore (free_vars x);
+  same "and_l folds false" (and_l [ true_; false_ ]) false_;
+  same "or_l folds true" (or_l [ false_; true_ ]) true_;
+  same "and_l single" (and_l [ x ]) (sing "X");
+  same "not_ involutive" (not_ (not_ x)) (sing "X");
+  same "and_l flattens" (and_l [ conj [ x; root "y" ]; x ])
+    (conj [ sing "X"; root "y"; sing "X" ]);
   Alcotest.(check (list string)) "free vars" [ "X"; "y" ]
-    (free_vars (Exists1 ("x", And [ Mem ("x", "X"); EqPos ("x", "y") ])))
+    (free_vars (ex1 "x" (conj [ mem "x" "X"; eqpos "x" "y" ])))
 
 (* Deterministic exhaustive agreement check: a fixed set of formula
    templates (covering every atom and quantifier shape, including the
@@ -385,33 +489,33 @@ let test_exhaustive_agreement () =
   in
   let templates =
     [
-      LeftOf ("x", "y"); RightOf ("x", "y"); Reach ("x", "y"); Root "x";
-      IsNil "x"; Sing "X"; Sub ("X", "Y"); Mem ("x", "X"); EqPos ("x", "y");
-      EqSet ("X", "Y"); EmptySet "X";
-      Exists1 ("q", Or [ Mem ("q", "X"); Root "q" ]);
-      Forall1 ("q", Or [ Reach ("q", "x"); IsNil "q" ]);
-      Exists2 ("Q", And [ Sub ("Q", "X"); EmptySet "Q" ]);
-      Not (Reach ("x", "y"));
-      And [ LeftOf ("x", "y"); Mem ("y", "X") ];
-      Or [ RightOf ("x", "y"); EqPos ("x", "y") ];
-      Imp (Root "x", IsNil "y");
-      Iff (IsNil "x", IsNil "y");
-      Forall1 ("q", Imp (Mem ("q", "X"), IsNil "q"));
-      Exists1 ("q", And [ LeftOf ("q", "x"); Mem ("q", "Y") ]);
-      Exists1 ("q", And [ RightOf ("q", "x"); Mem ("q", "Y") ]);
-      AgreeAbove ("x", [ ("X", "Y") ], []);
-      AgreeAbove ("x", [], [ ("X", "Y") ]);
+      left "x" "y"; right "x" "y"; reach "x" "y"; root "x";
+      isnil "x"; sing "X"; sub "X" "Y"; mem "x" "X"; eqpos "x" "y";
+      eqset "X" "Y"; empty "X";
+      ex1 "q" (disj [ mem "q" "X"; root "q" ]);
+      all1 "q" (disj [ reach "q" "x"; isnil "q" ]);
+      ex2 "Q" (conj [ sub "Q" "X"; empty "Q" ]);
+      neg (reach "x" "y");
+      conj [ left "x" "y"; mem "y" "X" ];
+      disj [ right "x" "y"; eqpos "x" "y" ];
+      implies (root "x") (isnil "y");
+      equiv (isnil "x") (isnil "y");
+      all1 "q" (implies (mem "q" "X") (isnil "q"));
+      ex1 "q" (conj [ left "q" "x"; mem "q" "Y" ]);
+      ex1 "q" (conj [ right "q" "x"; mem "q" "Y" ]);
+      agree "x" [ ("X", "Y") ] [];
+      agree "x" [] [ ("X", "Y") ];
       (* first-order variables where a set is read: each is still
          restricted to a singleton *)
-      Sub ("x", "X"); Sub ("X", "x"); Sub ("x", "y"); EqSet ("x", "X");
-      EqSet ("x", "y"); EmptySet "x"; Sing "x"; Mem ("x", "y");
-      EqPos ("x", "X"); Not (Sub ("X", "x"));
-      AgreeAbove ("x", [ ("y", "X") ], []);
+      sub "x" "X"; sub "X" "x"; sub "x" "y"; eqset "x" "X";
+      eqset "x" "y"; empty "x"; sing "x"; mem "x" "y";
+      eqpos "x" "X"; neg (sub "X" "x");
+      agree "x" [ ("y", "X") ] [];
       (* second-order variables where a position is read: false unless
          a singleton, as [eval] reads them *)
-      Root "X"; IsNil "X"; Mem ("X", "y"); Reach ("X", "y");
-      LeftOf ("x", "Y"); Not (RightOf ("X", "y"));
-      AgreeAbove ("X", [ ("x", "y") ], []);
+      root "X"; isnil "X"; mem "X" "y"; reach "X" "y";
+      left "x" "Y"; neg (right "X" "y");
+      agree "X" [ ("x", "y") ] [];
     ]
   in
   let mismatches = ref 0 in
@@ -469,6 +573,8 @@ let () =
       ( "cache",
         [
           qt prop_compile_equivariant;
+          qt prop_alpha_renamed_hit;
+          qt prop_free_vars;
           Alcotest.test_case "cache keys on variable kinds" `Quick
             test_cache_keys_on_kinds;
           Alcotest.test_case "foreign track under projection_shift" `Quick

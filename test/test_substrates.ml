@@ -267,8 +267,11 @@ Main(n) {
 
 let test_mona_emission () =
   let f =
-    Mso.Exists1
-      ("x", Mso.And [ Mso.IsNil "x"; Mso.Mem ("x", "X") ])
+    Mso.mk
+      (Mso.Exists1
+         ( "x",
+           Mso.mk (Mso.And [ Mso.mk (Mso.IsNil "x"); Mso.mk (Mso.Mem ("x", "X")) ])
+         ))
   in
   let out = Mona.to_mona [ ("X", Mso.SO) ] f in
   let contains frag =
