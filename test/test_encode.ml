@@ -278,6 +278,34 @@ let test_memo () =
         [ (ns1, ns2); (ns_q1, ns_q2); (ns_q2, ns_q1); (ns1, ns_q2) ])
     Programs.all_named
 
+(* The static prefilter decides without building a formula: a pair may
+   conflict exactly when its conflict formula is not [False], for every
+   non-call pair of every bundled program, at either granularity. *)
+let test_may_conflict () =
+  List.iter
+    (fun (name, src) ->
+      let info = Programs.load src in
+      let noncalls = Blocks.all_noncalls info in
+      List.iter
+        (fun field_sensitive ->
+          let enc = Encode.make ~field_sensitive info in
+          List.iter
+            (fun q1 ->
+              List.iter
+                (fun q2 ->
+                  let built =
+                    match (Encode.conflict_access enc ns1 ns2 ~q1 ~q2).node with
+                    | Mso.False -> false
+                    | _ -> true
+                  in
+                  if Encode.may_conflict enc q1 q2 <> built then
+                    Alcotest.failf "%s: may_conflict %s %s disagrees" name
+                      (Blocks.block info q1).label (Blocks.block info q2).label)
+                noncalls)
+            noncalls)
+        [ true; false ])
+    Programs.all_named
+
 let () =
   Alcotest.run "encode"
     [
@@ -301,4 +329,7 @@ let () =
       ( "memo",
         [ Alcotest.test_case "built once per encoder"
             `Quick test_memo ] );
+      ( "prefilter",
+        [ Alcotest.test_case "matches the formula" `Quick
+            test_may_conflict ] );
     ]
