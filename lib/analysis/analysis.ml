@@ -130,21 +130,6 @@ let drive ~budget ~t0 ~deadline ~ndone ~total items solve =
       in
       Error (progress ~budget ~t0 reason (ndone + n1 + n2) total))
 
-(* The pairs of non-call blocks of [info] whose current records may
-   conflict (the static prefilter), in block order; with [~unordered],
-   each pair once, as [(q1, q2)] with [q1 <= q2]. *)
-let conflicting_pairs ~unordered enc info =
-  let noncalls = Blocks.all_noncalls info in
-  List.concat_map
-    (fun q1 ->
-      List.filter_map
-        (fun q2 ->
-          if ((not unordered) || q1 <= q2) && Encode.may_conflict enc q1 q2
-          then Some (q1, q2)
-          else None)
-        noncalls)
-    noncalls
-
 (* The counterexample of the block pair [(q1, q2)] from the first of
    [cases] that has a model; no case after it is solved. *)
 let first_counterexample env (q1, q2) cases =
@@ -181,7 +166,7 @@ let check_data_race ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
   let setup () =
     let enc = Encode.make ?field_sensitive ?prune info in
     if Encode.divergence_triples enc Blocks.Par = [] then None
-    else Some (enc, conflicting_pairs ~unordered:true enc info)
+    else Some (enc, Encode.conflicting_pairs enc ~unordered:true)
   in
   match Engine.with_budget (Engine.slice budget ~deadline ~over:1) setup with
   | Error reason -> Race_unknown (progress ~budget ~t0 reason 0 0)
@@ -527,7 +512,7 @@ let check_equivalence ?(on_pair = fun _ _ -> ()) ?field_sensitive ?prune
               cases_p')
           cases_p
       in
-      let pairs = conflicting_pairs ~unordered:false enc p in
+      let pairs = Encode.conflicting_pairs enc ~unordered:false in
       let pairs_total = List.length pairs in
       (* Escalation phase 1 — the cheap dependence prefilter: a pair whose
          image tuples never conflict statically, or whose P-side dependence

@@ -608,12 +608,25 @@ let parallel_cases t ns1 ns2 ~q1 ~q2 : Mso.formula list =
 (* ------------------------------------------------------------------ *)
 (* Dependence                                                          *)
 
-(** Conflicting-access formula between the current records [(q1, x1)] of
-    [ns1] and [(q2, x2)] of [ns2]: some location is accessed by both, at
-    least one access being a write. *)
-let conflict_access t ns1 ns2 ~q1 ~q2 : Mso.formula =
-  memo t.formulas (Conflict (ns1, ns2, q1, q2)) @@ fun () ->
-  let x1 = node ns1.cfg and x2 = node ns2.cfg in
+(* Where the current records of non-call blocks [q1] and [q2] can touch
+   one location, at least one writing, whatever the namespaces: each is
+   one disjunct of [conflict_access]. *)
+type collision =
+  | Field of Ast.lexpr * Ast.lexpr
+      (** the nodes at these paths from the two current nodes are one
+          (and, field-sensitively, so is the field) *)
+  | Frame_var of int
+      (** both access a variable of one frame, created by call [s] *)
+  | Return of bool * int * int
+      (** [Return (first, tc, s)]: the return of the first (or second)
+          record, into the frame call [tc] created, writes a variable the
+          other accesses in the frame [s] created *)
+  | Returns of int * int * int
+      (** [Returns (t1c, t2c, s)]: both return, through calls [t1c] and
+          [t2c], into one variable of the frame [s] created *)
+
+(* The collisions of [q1] and [q2], in the order of their disjuncts. *)
+let collisions t q1 q2 : collision list =
   let a1 = access_of t q1 and a2 = access_of t q2 in
   let fields l =
     List.filter_map (function Rw.SField (p, f) -> Some (p, f) | _ -> None) l
@@ -637,12 +650,7 @@ let conflict_access t ns1 ns2 ~q1 ~q2 : Mso.formula =
               (fields a2.reads))
           (fields a1.writes)
     in
-    List.map
-      (fun (p1, p2) ->
-        let z = "zc" in
-        Mso.mk
-          (Mso.Exists1 (z, Mso.and_l [ path_rel x1 p1 z; path_rel x2 p2 z ])))
-      (List.sort_uniq compare pairs)
+    List.map (fun (p1, p2) -> Field (p1, p2)) (List.sort_uniq compare pairs)
   in
   (* var/var: same variable of the same frame *)
   let var_conflicts =
@@ -654,57 +662,38 @@ let conflict_access t ns1 ns2 ~q1 ~q2 : Mso.formula =
     in
     if shared = [] then []
     else
-      let common_creators =
-        List.filter
-          (fun s -> List.mem s (frame_creators t q2))
-          (frame_creators t q1)
-      in
-      List.map
+      List.filter_map
         (fun s ->
-          Mso.and_l
-            [
-              Mso.mk (Mso.EqPos (x1, x2));
-              Mso.mk (Mso.Mem (x1, block_var t ns1 s));
-              Mso.mk (Mso.Mem (x2, block_var t ns2 s));
-            ])
-        common_creators
+          if List.mem s (frame_creators t q2) then Some (Frame_var s) else None)
+        (frame_creators t q1)
   in
-  (* return of q1 writing a variable accessed by q2 (and symmetrically) *)
-  let ret_var ns_w q_w x_w ns_r q_r x_r (accessed : string list) =
-    let a = access_of t q_w in
-    if not a.ret_write then []
+  (* return of q_w writing a variable accessed by q_r *)
+  let ret_var ~first q_w q_r (accessed : string list) =
+    if not (access_of t q_w).ret_write then []
     else
       List.concat_map
         (fun tc ->
           (* tc created q_w's frame; its lhs variables are written *)
           let c = Blocks.call_of t.info tc in
-          let hit = List.filter (fun v -> List.mem v accessed) c.lhs in
-          if hit = [] then []
+          if not (List.exists (fun v -> List.mem v accessed) c.lhs) then []
           else
             (* s created the frame that owns those variables; it must also
                be the frame of the reader *)
             List.filter_map
               (fun s ->
                 if List.mem s (frame_creators t q_r) then
-                  Some
-                    (Mso.and_l
-                       [
-                         Mso.mk (Mso.Mem (x_w, block_var t ns_w tc));
-                         Mso.mk (Mso.Mem (x_r, block_var t ns_w s));
-                         path_cond t ns_w tc (x_r, x_w);
-                         Mso.mk (Mso.Mem (x_r, block_var t ns_r s));
-                       ])
+                  Some (Return (first, tc, s))
                 else None)
               (frame_creators t tc))
         (Blocks.callers_of t.info q_w)
   in
   let ret_conflicts =
-    ret_var ns1 q1 x1 ns2 q2 x2 (vars (a2.reads @ a2.writes))
-    @ ret_var ns2 q2 x2 ns1 q1 x1 (vars (a1.reads @ a1.writes))
+    ret_var ~first:true q1 q2 (vars (a2.reads @ a2.writes))
+    @ ret_var ~first:false q2 q1 (vars (a1.reads @ a1.writes))
   in
   (* return/return: both write the same caller variable *)
   let ret_ret =
-    if not ((access_of t q1).ret_write && (access_of t q2).ret_write) then []
+    if not (a1.ret_write && a2.ret_write) then []
     else
       List.concat_map
         (fun t1c ->
@@ -720,26 +709,55 @@ let conflict_access t ns1 ns2 ~q1 ~q2 : Mso.formula =
                 List.filter_map
                   (fun s ->
                     if List.mem s (frame_creators t t2c) then
-                      let z = "zr" in
-                      Some
-                        (Mso.mk
-                           (Mso.Exists1
-                              ( z,
-                                Mso.and_l
-                                  [
-                                    Mso.mk (Mso.Mem (z, block_var t ns1 s));
-                                    Mso.mk (Mso.Mem (z, block_var t ns2 s));
-                                    path_cond t ns1 t1c (z, x1);
-                                    path_cond t ns2 t2c (z, x2);
-                                    Mso.mk (Mso.Mem (x1, block_var t ns1 t1c));
-                                    Mso.mk (Mso.Mem (x2, block_var t ns2 t2c));
-                                  ] )))
+                      Some (Returns (t1c, t2c, s))
                     else None)
                   (frame_creators t t1c))
             (Blocks.callers_of t.info q2))
         (Blocks.callers_of t.info q1)
   in
-  Mso.or_l (field_conflicts @ var_conflicts @ ret_conflicts @ ret_ret)
+  field_conflicts @ var_conflicts @ ret_conflicts @ ret_ret
+
+(** Conflicting-access formula between the current records [(q1, x1)] of
+    [ns1] and [(q2, x2)] of [ns2]: some location is accessed by both, at
+    least one access being a write.  One disjunct per collision. *)
+let conflict_access t ns1 ns2 ~q1 ~q2 : Mso.formula =
+  memo t.formulas (Conflict (ns1, ns2, q1, q2)) @@ fun () ->
+  let x1 = node ns1.cfg and x2 = node ns2.cfg in
+  let mem x ns s = Mso.mk (Mso.Mem (x, block_var t ns s)) in
+  let disjunct = function
+    | Field (p1, p2) ->
+      let z = "zc" in
+      Mso.mk
+        (Mso.Exists1 (z, Mso.and_l [ path_rel x1 p1 z; path_rel x2 p2 z ]))
+    | Frame_var s ->
+      Mso.and_l [ Mso.mk (Mso.EqPos (x1, x2)); mem x1 ns1 s; mem x2 ns2 s ]
+    | Return (first, tc, s) ->
+      let (ns_w, x_w), (ns_r, x_r) =
+        if first then ((ns1, x1), (ns2, x2)) else ((ns2, x2), (ns1, x1))
+      in
+      Mso.and_l
+        [
+          mem x_w ns_w tc;
+          mem x_r ns_w s;
+          path_cond t ns_w tc (x_r, x_w);
+          mem x_r ns_r s;
+        ]
+    | Returns (t1c, t2c, s) ->
+      let z = "zr" in
+      Mso.mk
+        (Mso.Exists1
+           ( z,
+             Mso.and_l
+               [
+                 mem z ns1 s;
+                 mem z ns2 s;
+                 path_cond t ns1 t1c (z, x1);
+                 path_cond t ns2 t2c (z, x2);
+                 mem x1 ns1 t1c;
+                 mem x2 ns2 t2c;
+               ] ))
+  in
+  Mso.or_l (List.map disjunct (collisions t q1 q2))
 
 (** [Dependence]: both configurations are valid and their current records
     conflict. *)
@@ -753,11 +771,24 @@ let dependence t ns1 ns2 ~q1 ~q2 : Mso.formula =
          conflict_access t ns1 ns2 ~q1 ~q2;
        ])
 
-(** Can the pair possibly conflict at all?  A cheap static prefilter. *)
-let may_conflict t q1 q2 : bool =
-  match (conflict_access t { tag = "a"; cfg = 1 } { tag = "a"; cfg = 2 } ~q1 ~q2).Mso.node with
-  | Mso.False -> false
-  | _ -> true
+(** Can the pair possibly conflict at all?  A cheap static prefilter: its
+    conflict formula is [False] exactly when it has no collision, so no
+    formula is built. *)
+let may_conflict t q1 q2 : bool = collisions t q1 q2 <> []
+
+(** The pairs of non-call blocks that may conflict, in block order; with
+    [~unordered], each pair once, as [(q1, q2)] with [q1 <= q2]. *)
+let conflicting_pairs t ~unordered =
+  let noncalls = Blocks.all_noncalls t.info in
+  List.concat_map
+    (fun q1 ->
+      List.filter_map
+        (fun q2 ->
+          if ((not unordered) || q1 <= q2) && may_conflict t q1 q2 then
+            Some (q1, q2)
+          else None)
+        noncalls)
+    noncalls
 
 (** [DataRace⟦P⟧] for the current blocks [q1] and [q2], whole: the two
     configurations are dependent and may occur in either order.  Its

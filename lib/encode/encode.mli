@@ -98,7 +98,14 @@ val dependence : t -> ns -> ns -> q1:int -> q2:int -> Mso.formula
     {!conflict_access}, conjoined). *)
 
 val may_conflict : t -> int -> int -> bool
-(** Cheap static prefilter: is the conflict formula non-trivial? *)
+(** Cheap static prefilter: is the conflict formula of the two non-call
+    blocks other than [False]?  Decided from the blocks' accesses, without
+    building the formula. *)
+
+val conflicting_pairs : t -> unordered:bool -> (int * int) list
+(** The pairs of non-call blocks that {!may_conflict}, in block order;
+    with [~unordered:true], each pair once, as [(q1, q2)] with
+    [q1 <= q2]. *)
 
 val data_race : t -> q1:int -> q2:int -> Mso.env * Mso.formula
 (** [DataRace⟦P⟧] for the current blocks [q1] and [q2], whole, with its
