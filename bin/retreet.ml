@@ -822,15 +822,14 @@ let mona_cmd =
   let run verbose file output =
     setup_logs verbose;
     let info = load_source file in
-    let q = List.hd (Blocks.all_noncalls info) in
-    let env, f = Encode.data_race (Encode.make info) ~q1:q ~q2:q in
+    let env, f = Encode.data_race (Encode.make info) in
     Mona.write_mona ~path:output env f;
     Fmt.pr "wrote %s@." output;
     0
   in
   Cmd.v
     (Cmd.info "mona" ~exits
-       ~doc:"Export the first data-race query in MONA (WS2S) syntax.")
+       ~doc:"Export the data-race query in MONA (WS2S) syntax.")
     Term.(
       const run $ verbose_arg
       $ file_arg 0 "Program file or builtin:NAME."

@@ -16,11 +16,11 @@
 
     On top of [Configuration] the module builds the predicates [Next],
     [Prev], [Consistent], [Ordered], [Parallel] and [Dependence], the
-    environment of every query, and the whole [DataRace⟦P⟧] formula of one
-    block pair that [retreet mona] exports.  {!Analysis} assembles the
-    top-level queries [DataRace⟦P⟧] (Theorem 2) and [Conflict⟦P,P'⟧]
-    (Theorem 3) from these parts, one formula per block pair and
-    divergence case, and decides them.
+    environment of every query, and the whole [DataRace⟦P⟧] formula that
+    [retreet mona] exports.  {!Analysis} assembles the top-level queries
+    [DataRace⟦P⟧] (Theorem 2) and [Conflict⟦P,P'⟧] (Theorem 3) from these
+    parts, one formula per block pair and divergence case, and decides
+    them.
 
     A query relates two configurations, numbered 1 and 2 ([ns.cfg]); the
     current record of configuration [k] runs on the first-order variable
@@ -790,14 +790,18 @@ let conflicting_pairs t ~unordered =
         noncalls)
     noncalls
 
-(** [DataRace⟦P⟧] for the current blocks [q1] and [q2], whole: the two
-    configurations are dependent and may occur in either order.  Its
-    environment comes with it. *)
-let data_race t ~q1 ~q2 : Mso.env * Mso.formula =
+(** [DataRace⟦P⟧], whole: the disjunction, over the pairs that may
+    conflict, of "the two configurations are dependent and may occur in
+    either order".  Its environment comes with it. *)
+let data_race t : Mso.env * Mso.formula =
   let ns1 = { tag = ""; cfg = 1 } and ns2 = { tag = ""; cfg = 2 } in
   ( query_env [ (t, [ ns1; ns2 ]) ],
-    Mso.and_l
-      [
-        dependence t ns1 ns2 ~q1 ~q2;
-        Mso.or_l (parallel_cases t ns1 ns2 ~q1 ~q2);
-      ] )
+    Mso.or_l
+      (List.map
+         (fun (q1, q2) ->
+           Mso.and_l
+             [
+               dependence t ns1 ns2 ~q1 ~q2;
+               Mso.or_l (parallel_cases t ns1 ns2 ~q1 ~q2);
+             ])
+         (conflicting_pairs t ~unordered:true)) )

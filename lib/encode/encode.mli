@@ -19,10 +19,9 @@
     [~field_sensitive:false] to {!make} for the paper's granularity.
 
     Encode builds the predicates, every query's environment
-    ({!query_env}) and the whole [DataRace⟦P⟧] formula of one block pair
-    ({!data_race}, for export).  {!Analysis} assembles the queries it
-    decides from the predicates, one formula per block pair and divergence
-    case. *)
+    ({!query_env}) and the whole [DataRace⟦P⟧] formula ({!data_race}, for
+    export).  {!Analysis} assembles the queries it decides from the
+    predicates, one formula per block pair and divergence case. *)
 
 (** A label namespace: which program copy ([tag]) and which of the two
     configurations of a query ([cfg]) the labels belong to.  The current
@@ -107,10 +106,11 @@ val conflicting_pairs : t -> unordered:bool -> (int * int) list
     with [~unordered:true], each pair once, as [(q1, q2)] with
     [q1 <= q2]. *)
 
-val data_race : t -> q1:int -> q2:int -> Mso.env * Mso.formula
-(** [DataRace⟦P⟧] for the current blocks [q1] and [q2], whole, with its
-    environment: {!dependence} and the disjunction of {!parallel_cases},
-    flattened into one conjunction, over the namespaces
-    [{tag = ""; cfg = 1}] and [{tag = ""; cfg = 2}].  This is what
-    [retreet mona] exports; the race query solves it one parallel case at
-    a time instead. *)
+val data_race : t -> Mso.env * Mso.formula
+(** [DataRace⟦P⟧], whole, with its environment: the disjunction, over
+    the unordered {!conflicting_pairs}, of {!dependence} conjoined with
+    the disjunction of {!parallel_cases}, over the namespaces
+    [{tag = ""; cfg = 1}] and [{tag = ""; cfg = 2}].  It is [False] for a
+    program with no parallel divergence.  This is what [retreet mona]
+    exports; the race query solves it one pair and one parallel case at a
+    time instead. *)

@@ -306,6 +306,16 @@ let test_may_conflict () =
         [ true; false ])
     Programs.all_named
 
+(* The exported DataRace formula answers as the race query does: it is
+   satisfiable for a racy program and [False] for a sequential one. *)
+let test_data_race_export () =
+  let export src = Encode.data_race (Encode.make (Programs.load src)) in
+  let env, f = export Programs.racy_writers in
+  Alcotest.(check bool) "racy_writers satisfiable" true (Mso.satisfiable env f);
+  let _, f = export Programs.size_counting_seq in
+  Alcotest.(check bool) "size_counting_seq is false" true
+    (match f.node with Mso.False -> true | _ -> false)
+
 let () =
   Alcotest.run "encode"
     [
@@ -332,4 +342,7 @@ let () =
       ( "prefilter",
         [ Alcotest.test_case "matches the formula" `Quick
             test_may_conflict ] );
+      ( "export",
+        [ Alcotest.test_case "data race answers" `Quick
+            test_data_race_export ] );
     ]

@@ -104,8 +104,7 @@ let test_differential_inject_tight () =
 (* --- MONA exports are byte-identical across pool sizes --- *)
 
 let mona_text info =
-  let q = List.hd (Blocks.all_noncalls info) in
-  let env, f = Encode.data_race (Encode.make info) ~q1:q ~q2:q in
+  let env, f = Encode.data_race (Encode.make info) in
   Mona.to_mona env f
 
 let test_mona_identical () =
