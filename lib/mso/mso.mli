@@ -18,7 +18,13 @@
     {!eval} reads it.  The first-order quantifiers range over singletons,
     and {!compile} conjoins the singleton constraint for every declared
     first-order free variable, so the automaton of {!compile} accepts
-    exactly the models of its formula. *)
+    exactly the models of its formula.
+
+    The compiler caches one automaton per alpha-equivalence class of
+    subformulas in the current solver context.  Its key is read off each
+    node's slot (see {!formula}), which the compiler fills once in the
+    node's life, so a lookup does not walk the subformula; every hit is
+    confirmed by an exact comparison, never by the hash alone. *)
 
 type var = string
 
