@@ -11,8 +11,9 @@
       cannot be assigned).
 
     Plus hygiene: [Main] exists, callees are defined with matching arities,
-    return arities are consistent, block labels are unique, and every
-    dereference [le.dir] is guarded by [le != nil] on its path. *)
+    return arities are consistent, block labels are unique and none is
+    [main] (the encoding's name for Main's record), and every dereference
+    [le.dir] is guarded by [le != nil] on its path. *)
 
 type error = string
 
@@ -259,6 +260,11 @@ let check (prog : Ast.prog) : (Blocks.t, error list) result =
         if List.length (List.filter (String.equal l) labels) > 1 then
           err (errf "block label %s is not unique" l))
       (List.sort_uniq String.compare labels);
+    (* The encoding names Main's record [main], as it names a call block's
+       records by its label: a block labelled [main] would share that
+       label variable. *)
+    if List.mem "main" labels then
+      err "block label main is reserved for Main's record";
     List.iter err (check_derefs ~lineof info);
     match List.rev !errors with [] -> Ok info | es -> Error es
   end

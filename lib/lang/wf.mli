@@ -3,8 +3,9 @@
     Checks the restrictions that make the MSO encoding possible — no
     same-node recursion (the stay-call graph must be acyclic), plus
     hygiene: [Main] exists, callees are defined with matching arities,
-    return arities are consistent, block labels are unique, and every
-    dereference [le.dir] is guarded by [le != nil] on its path. *)
+    return arities are consistent, block labels are unique and none is
+    [main] (the encoding's name for Main's record), and every dereference
+    [le.dir] is guarded by [le != nil] on its path. *)
 
 type error = string
 

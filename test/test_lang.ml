@@ -155,6 +155,9 @@ Main(n) { y = A(n); return y }|}
   expect_wf_error "Main(n) { x = Missing(n); return x }" "undefined";
   expect_wf_error "Main(n) { v = n.l.f + 1; return v }" "nil";
   expect_wf_error "Main(n) { a: x = 1; b: y = 2; a: return x }" "not unique";
+  expect_wf_error
+    "F(n) { return }\nMain(n) { main: F(n); return }"
+    "label main is reserved";
   (* deep recursion through n.l is fine *)
   match
     Wf.check
