@@ -7,12 +7,15 @@
     is available, and so that the encoding can be inspected in a
     well-known exchange format.
 
-    The translation targets MONA's WS2S mode.  The finite-heap convention
-    of the paper is made explicit with a second-order variable [$NIL]
-    holding the nil positions, constrained to be closed under successors
-    (every child of a nil position is nil — the paper's isNil axiom), and
-    every free variable is constrained to range over the complement
-    ("live" positions) plus the nil fringe. *)
+    The translation targets MONA's WS2S mode.  The prologue declares a
+    second-order variable [$NIL] for the nil positions, whose [where]
+    clause admits only sets closed under successors (the paper's isNil
+    axiom), and [IsNil x] prints as [x in $NIL].  It also defines the
+    reflexive descendant relation [reach], for [AgreeAbove].  Each free
+    variable is then declared [var1] or [var2], with no constraint.  WS2S
+    sets are finite, and no non-empty finite set is closed under both
+    successors, so MONA reads [$NIL] as empty and every [x in $NIL] as
+    false, where {!Mso} reads [IsNil x] as "x is a leaf". *)
 
 let keyword_safe v =
   String.map (function ':' | '\'' -> '_' | c -> c) v
@@ -22,8 +25,6 @@ let rec pp_formula ppf (f : Mso.formula) =
   match f.node with
   | Mso.True -> Fmt.string ppf "true"
   | Mso.False -> Fmt.string ppf "false"
-  | Mso.Sub (a, b) -> Fmt.pf ppf "%s sub %s" (v a) (v b)
-  | Mso.EqSet (a, b) -> Fmt.pf ppf "%s = %s" (v a) (v b)
   | Mso.EmptySet a -> Fmt.pf ppf "empty(%s)" (v a)
   | Mso.Sing (a) ->
     Fmt.pf ppf "(ex1 sing_w: sing_w in %s & (all1 sing_u: sing_u in %s => sing_u = sing_w))"
@@ -34,7 +35,6 @@ let rec pp_formula ppf (f : Mso.formula) =
   | Mso.RightOf (a, b) -> Fmt.pf ppf "%s = %s.1" (v b) (v a)
   | Mso.Root a -> Fmt.pf ppf "%s = root" (v a)
   | Mso.IsNil a -> Fmt.pf ppf "%s in $NIL" (v a)
-  | Mso.Reach (a, b) -> Fmt.pf ppf "reach(%s, %s)" (v a) (v b)
   | Mso.AgreeAbove (z, strict, incl) ->
     let agree_pair ppf (x, y) =
       Fmt.pf ppf "(agr_v in %s <=> agr_v in %s)" (v x) (v y)
@@ -53,10 +53,6 @@ let rec pp_formula ppf (f : Mso.formula) =
   | Mso.Or fs -> Fmt.pf ppf "(%a)" Fmt.(list ~sep:(any " | ") pp_formula) fs
   | Mso.Imp (a, b) -> Fmt.pf ppf "(%a => %a)" pp_formula a pp_formula b
   | Mso.Iff (a, b) -> Fmt.pf ppf "(%a <=> %a)" pp_formula a pp_formula b
-  | Mso.Exists2 (x, f) ->
-    Fmt.pf ppf "(ex2 %s: %a)" (keyword_safe x) pp_formula f
-  | Mso.Forall2 (x, f) ->
-    Fmt.pf ppf "(all2 %s: %a)" (keyword_safe x) pp_formula f
   | Mso.Exists1 (x, f) ->
     Fmt.pf ppf "(ex1 %s: %a)" (keyword_safe x) pp_formula f
   | Mso.Forall1 (x, f) ->

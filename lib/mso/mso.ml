@@ -13,8 +13,6 @@ type slot = { fv : var array; shape : int }
 type node =
   | True
   | False
-  | Sub of var * var
-  | EqSet of var * var
   | EmptySet of var
   | Sing of var
   | Mem of var * var
@@ -23,15 +21,12 @@ type node =
   | RightOf of var * var
   | Root of var
   | IsNil of var
-  | Reach of var * var
   | AgreeAbove of var * (var * var) list * (var * var) list
   | Not of formula
   | And of formula list
   | Or of formula list
   | Imp of formula * formula
   | Iff of formula * formula
-  | Exists2 of var * formula
-  | Forall2 of var * formula
   | Exists1 of var * formula
   | Forall1 of var * formula
 
@@ -164,8 +159,6 @@ and fill node =
     match node with
     | True -> 1
     | False -> 2
-    | Sub (a, b) -> var (var 3 a) b
-    | EqSet (a, b) -> var (var 4 a) b
     | EmptySet a -> var 5 a
     | Sing a -> var 6 a
     | Mem (a, b) -> var (var 7 a) b
@@ -174,15 +167,12 @@ and fill node =
     | RightOf (a, b) -> var (var 10 a) b
     | Root a -> var 11 a
     | IsNil a -> var 12 a
-    | Reach (a, b) -> var (var 13 a) b
     | AgreeAbove (z, strict, incl) -> pairs (pairs (var 14 z) strict) incl
     | Not g -> child 15 g
     | And gs -> children 16 gs
     | Or gs -> children 17 gs
     | Imp (a, b) -> child (child 18 a) b
     | Iff (a, b) -> child (child 19 a) b
-    | Exists2 (x, g) -> child ~bound:x 20 g
-    | Forall2 (x, g) -> child ~bound:x 21 g
     | Exists1 (x, g) -> child ~bound:x 22 g
     | Forall1 (x, g) -> child ~bound:x 23 g
   in
@@ -200,11 +190,12 @@ let mentions x f = Array.exists (String.equal x) (slot f).fv
    [Forall1]) is a singleton: it rejects any other assignment.  So no
    automaton built from atoms tracks a set-valued first-order variable,
    and products of atoms over the same position stay small.  A position
-   argument (the element of [Mem], both arguments of [LeftOf], [RightOf]
-   and [Reach], the argument of [Root] and [IsNil], the [z] of
-   [AgreeAbove]) is restricted whatever its kind, as [eval] reads it; a
-   set argument only when its variable is first-order.  Each restricted
-   atom is one construction ([auto_point], [auto_below]).
+   argument (the element of [Mem], both arguments of [LeftOf] and
+   [RightOf], the argument of [Root] and [IsNil], the [z] of
+   [AgreeAbove]) is restricted whatever its kind, as the tests' reference
+   evaluator ([test/mso_eval.ml]) reads it; a set argument only when its
+   variable is first-order.  Each restricted atom is one construction
+   ([auto_point], [auto_below]).
 
    Invariant: on every assignment under which the first-order free
    variables of a subformula are singletons, its automaton accepts
@@ -260,25 +251,17 @@ let auto_point xs ~leaf ~node ~above ~other =
       | _ -> [ (Bdd.top, 2) ])
     ~accept:(fun q -> q = 1)
 
-(* Position [y] below position [x]: with [~child:(Some left)], y is
-   the left (right) child of x; with [~child:None], x is an ancestor of
-   y or y itself.  States: 0 = neither seen, 1 = y seen and x not, 2 =
+(* Position [y] is the left child of position [x], or with [~left:false]
+   the right one.  States: 0 = neither seen, 1 = y seen and x not, 2 =
    relation established, 3 = refuted. *)
-let auto_below ~child x y =
-  let entry =
-    bits2 x y (fun bx by ->
-        if bx && by && child = None then 2
-        else if bx then 3
-        else if by then 1
-        else 0)
-  in
+let auto_below ~left x y =
+  let entry = bits2 x y (fun bx by -> if bx then 3 else if by then 1 else 0) in
   Treeauto.make ~nstates:4 ~leaf:entry
     ~delta:(fun ql qr ->
-      match (ql, qr, child) with
+      match (ql, qr, left) with
       | 0, 0, _ -> entry
-      | 1, 0, (None | Some true) | 0, 1, (None | Some false) ->
-        bits2 x y (fun bx by ->
-            if by then 3 else if bx then 2 else if child = None then 1 else 3)
+      | 1, 0, true | 0, 1, false ->
+        bits2 x y (fun bx by -> if bx && not by then 2 else 3)
       | 2, 0, _ | 0, 2, _ ->
         bits2 x y (fun bx by -> if bx || by then 3 else 2)
       | _ -> [ (Bdd.top, 3) ])
@@ -345,13 +328,10 @@ let alpha_equal k1 k2 =
     let pairs = List.equal (fun (a, b) (c, d) -> v a c && v b d) in
     match (n1, n2) with
     | True, True | False, False -> true
-    | Sub (a, b), Sub (c, d)
-    | EqSet (a, b), EqSet (c, d)
     | Mem (a, b), Mem (c, d)
     | EqPos (a, b), EqPos (c, d)
     | LeftOf (a, b), LeftOf (c, d)
-    | RightOf (a, b), RightOf (c, d)
-    | Reach (a, b), Reach (c, d) ->
+    | RightOf (a, b), RightOf (c, d) ->
       v a c && v b d
     | EmptySet a, EmptySet c | Sing a, Sing c | Root a, Root c
     | IsNil a, IsNil c ->
@@ -362,8 +342,6 @@ let alpha_equal k1 k2 =
     | And gs, And hs | Or gs, Or hs -> List.equal (eq b1 b2) gs hs
     | Imp (a, b), Imp (c, d) | Iff (a, b), Iff (c, d) ->
       eq b1 b2 a c && eq b1 b2 b d
-    | Exists2 (x, g), Exists2 (y, h)
-    | Forall2 (x, g), Forall2 (y, h)
     | Exists1 (x, g), Exists1 (y, h)
     | Forall1 (x, g), Forall1 (y, h) ->
       eq (x :: b1) (y :: b2) g h
@@ -490,7 +468,7 @@ let rec compile_sub tenv next f =
 
 and comp_raw tenv next f =
   let comp = compile_sub in
-  let bind x kind = { tenv with bound = (x, { tr = next; kind }) :: tenv.bound } in
+  let bind x = { tenv with bound = (x, { tr = next; kind = FO }) :: tenv.bound } in
   let t = track tenv in
   let fo v = (binding tenv v).kind = FO in
   let fo_tracks vs =
@@ -513,12 +491,12 @@ and comp_raw tenv next f =
   let agreement ps =
     Bdd.conj_list (List.map (fun (a, b) -> var2 Bdd.iff a b) ps)
   in
-  (* [∃x. g], or [∀x. g] as [¬∃x. ¬g], for [x] of [kind]; [requantify h]
-     is the same quantifier over [h].  ∃ distributes over ∨ and ∀ over ∧,
-     which keeps intermediate automata small; ∃ hoists the conjuncts that
-     do not mention [x] out of the quantifier; a first-order [x] ranges
-     over singletons. *)
-  let quantify ~exists kind x g requantify =
+  (* [∃x. g], or [∀x. g] as [¬∃x. ¬g], for a first-order [x], which
+     ranges over singletons; [requantify h] is the same quantifier over
+     [h].  ∃ distributes over ∨ and ∀ over ∧, which keeps intermediate
+     automata small; ∃ hoists the conjuncts that do not mention [x] out of
+     the quantifier. *)
+  let quantify ~exists x g requantify =
     let again h = comp tenv next (requantify h) in
     match (exists, g.node) with
     | true, Or gs -> Treeauto.union_list (List.map again gs)
@@ -529,14 +507,12 @@ and comp_raw tenv next f =
         | And gs -> List.partition (mentions x) gs
         | _ -> ([ g ], [])
       in
-      let body = comp (bind x kind) (next + 1) (and_l dependent) in
+      let body = comp (bind x) (next + 1) (and_l dependent) in
       let body = if exists then body else Treeauto.complement body in
-      let body =
-        match kind with
-        | FO -> Treeauto.minimize (Treeauto.inter (auto_sing next) body)
-        | SO -> body
+      let projected =
+        project_bound next
+          (Treeauto.minimize (Treeauto.inter (auto_sing next) body))
       in
-      let projected = project_bound next body in
       if exists then
         Treeauto.inter_list
           (projected :: List.map (comp tenv next) independent)
@@ -545,17 +521,14 @@ and comp_raw tenv next f =
     match f.node with
     | True -> Treeauto.const true
     | False -> Treeauto.const false
-    | Sub (a, b) -> local (var2 Bdd.imp a b) (fo_tracks [ a; b ])
     | Mem (a, b) -> local (var2 Bdd.imp a b) (t a :: fo_tracks [ b ])
-    | EqSet (a, b) | EqPos (a, b) ->
-      local (var2 Bdd.iff a b) (fo_tracks [ a; b ])
+    | EqPos (a, b) -> local (var2 Bdd.iff a b) (fo_tracks [ a; b ])
     | EmptySet a -> local (Bdd.nvar (t a)) (fo_tracks [ a ])
     | Sing a -> auto_sing (t a)
     | Root a -> point a ~leaf:Bdd.top ~node:Bdd.top ~above:Bdd.bot
     | IsNil a -> point a ~leaf:Bdd.top ~node:Bdd.bot ~above:Bdd.top
-    | LeftOf (a, b) -> auto_below ~child:(Some true) (t a) (t b)
-    | RightOf (a, b) -> auto_below ~child:(Some false) (t a) (t b)
-    | Reach (a, b) -> auto_below ~child:None (t a) (t b)
+    | LeftOf (a, b) -> auto_below ~left:true (t a) (t b)
+    | RightOf (a, b) -> auto_below ~left:false (t a) (t b)
     | AgreeAbove (z, strict, incl) ->
       let at = agreement incl in
       let above = Bdd.conj (agreement strict) at in
@@ -577,10 +550,8 @@ and comp_raw tenv next f =
       Treeauto.minimize
         (Treeauto.union (Treeauto.inter ca cb)
            (Treeauto.inter (Treeauto.complement ca) (Treeauto.complement cb)))
-    | Exists2 (x, g) -> quantify ~exists:true SO x g (fun h -> mk (Exists2 (x, h)))
-    | Forall2 (x, g) -> quantify ~exists:false SO x g (fun h -> mk (Forall2 (x, h)))
-    | Exists1 (x, g) -> quantify ~exists:true FO x g (fun h -> mk (Exists1 (x, h)))
-    | Forall1 (x, g) -> quantify ~exists:false FO x g (fun h -> mk (Forall1 (x, h)))
+    | Exists1 (x, g) -> quantify ~exists:true x g (fun h -> mk (Exists1 (x, h)))
+    | Forall1 (x, g) -> quantify ~exists:false x g (fun h -> mk (Forall1 (x, h)))
 
 let compile env formula =
   let declared = Hashtbl.create 64 in
@@ -635,116 +606,3 @@ let solve env formula =
   | Some tree -> Some { tree; assignment = decode env tree }
 
 let satisfiable env formula = Option.is_some (solve env formula)
-
-(* ------------------------------------------------------------------ *)
-(* Reference semantics                                                 *)
-
-let eval tree assignment formula =
-  let all_positions = List.map snd (Treeauto.tree_positions tree) in
-  let subtree path =
-    let rec go t = function
-      | [] -> Some t
-      | d :: rest -> (
-        match t with
-        | Treeauto.Leaf _ -> None
-        | Treeauto.Node (_, l, r) -> go (if d = 0 then l else r) rest)
-    in
-    go tree path
-  in
-  let rec subsets = function
-    | [] -> [ [] ]
-    | x :: rest ->
-      let s = subsets rest in
-      s @ List.map (fun l -> x :: l) s
-  in
-  let lookup asg v =
-    match List.assoc_opt v asg with
-    | Some s -> s
-    | None -> invalid_arg (Printf.sprintf "Mso.eval: unbound variable %s" v)
-  in
-  let norm = List.sort_uniq compare in
-  let rec go asg f =
-    match f.node with
-    | True -> true
-    | False -> false
-    | Sub (a, b) ->
-      let sb = norm (lookup asg b) in
-      List.for_all (fun p -> List.mem p sb) (lookup asg a)
-    | EqSet (a, b) -> norm (lookup asg a) = norm (lookup asg b)
-    | EmptySet a -> lookup asg a = []
-    | Sing a -> List.length (norm (lookup asg a)) = 1
-    | Mem (a, b) -> (
-      match norm (lookup asg a) with
-      | [ p ] -> List.mem p (lookup asg b)
-      | _ -> false)
-    | EqPos (a, b) -> norm (lookup asg a) = norm (lookup asg b)
-    | LeftOf (a, b) -> (
-      match (norm (lookup asg a), norm (lookup asg b)) with
-      | [ pa ], [ pb ] ->
-        pb = pa @ [ 0 ]
-        && (match subtree pa with
-           | Some (Treeauto.Node _) -> true
-           | _ -> false)
-      | _ -> false)
-    | RightOf (a, b) -> (
-      match (norm (lookup asg a), norm (lookup asg b)) with
-      | [ pa ], [ pb ] ->
-        pb = pa @ [ 1 ]
-        && (match subtree pa with
-           | Some (Treeauto.Node _) -> true
-           | _ -> false)
-      | _ -> false)
-    | Root a -> norm (lookup asg a) = [ [] ]
-    | IsNil a -> (
-      match norm (lookup asg a) with
-      | [ p ] -> (
-        match subtree p with Some (Treeauto.Leaf _) -> true | _ -> false)
-      | _ -> false)
-    | Reach (a, b) -> (
-      match (norm (lookup asg a), norm (lookup asg b)) with
-      | [ pa ], [ pb ] ->
-        let rec prefix xs ys =
-          match (xs, ys) with
-          | [], _ -> true
-          | x :: xs', y :: ys' -> x = y && prefix xs' ys'
-          | _ -> false
-        in
-        prefix pa pb
-      | _ -> false)
-    | AgreeAbove (z, strict, incl) -> (
-      match norm (lookup asg z) with
-      | [ pz ] ->
-        let rec prefix xs ys =
-          match (xs, ys) with
-          | [], _ -> true
-          | x :: xs', y :: ys' -> x = y && prefix xs' ys'
-          | _ -> false
-        in
-        let agree pairs v =
-          List.for_all
-            (fun (a, b) ->
-              List.mem v (lookup asg a) = List.mem v (lookup asg b))
-            pairs
-        in
-        List.for_all
-          (fun v ->
-            if v = pz then agree incl v
-            else if prefix v pz then agree (strict @ incl) v
-            else true)
-          all_positions
-      | _ -> false)
-    | Not f -> not (go asg f)
-    | And fs -> List.for_all (go asg) fs
-    | Or fs -> List.exists (go asg) fs
-    | Imp (a, b) -> (not (go asg a)) || go asg b
-    | Iff (a, b) -> go asg a = go asg b
-    | Exists2 (x, f) ->
-      List.exists (fun s -> go ((x, s) :: asg) f) (subsets all_positions)
-    | Forall2 (x, f) ->
-      List.for_all (fun s -> go ((x, s) :: asg) f) (subsets all_positions)
-    | Exists1 (x, f) ->
-      List.exists (fun p -> go ((x, [ p ]) :: asg) f) all_positions
-    | Forall1 (x, f) ->
-      List.for_all (fun p -> go ((x, [ p ]) :: asg) f) all_positions
-  in
-  go assignment formula

@@ -2,10 +2,11 @@
     compilation to the tree automata of {!Treeauto}.
 
     The signature follows Section 4 of the paper: a unique [root], two
-    successors [left]/[right], the ancestor relation [reach] (the reflexive
-    transitive closure of the successors), and the [isNil] predicate —
-    interpreted here as "the position is a leaf", since in the Retreet heap
-    encoding the leaves of the model are exactly the [nil] nodes.
+    successors [left]/[right], and the [isNil] predicate — interpreted
+    here as "the position is a leaf", since in the Retreet heap encoding
+    the leaves of the model are exactly the [nil] nodes.  The constructors
+    are the fragment [Encode] builds, plus [True] and [Sing], which this
+    module builds itself; every quantified variable is first-order.
 
     First-order variables range over tree positions and are encoded as
     singleton second-order variables in the standard way.  Every atom
@@ -13,12 +14,13 @@
     [Exists1]/[Forall1]) is compiled restricted to the assignments under
     which that variable is a singleton, so no intermediate automaton
     tracks a set-valued one.  A position argument (the element of [Mem],
-    the arguments of [LeftOf], [RightOf], [Reach], [Root] and [IsNil],
-    the [z] of [AgreeAbove]) is read as a singleton whatever its kind, as
-    {!eval} reads it.  The first-order quantifiers range over singletons,
-    and {!compile} conjoins the singleton constraint for every declared
-    first-order free variable, so the automaton of {!compile} accepts
-    exactly the models of its formula.
+    the arguments of [LeftOf], [RightOf], [Root] and [IsNil], the [z] of
+    [AgreeAbove]) is read as a singleton whatever its kind, as the test
+    suite's reference evaluator ([test/mso_eval.ml]) reads it.  The
+    quantifiers range over singletons, and {!compile} conjoins the
+    singleton constraint for every declared first-order free variable, so
+    the automaton of {!compile} accepts exactly the models of its
+    formula.
 
     The compiler caches one automaton per alpha-equivalence class of
     subformulas in the current solver context.  Its key is read off each
@@ -34,17 +36,14 @@ type slot
 type node =
   | True
   | False
-  | Sub of var * var  (** X ⊆ Y *)
-  | EqSet of var * var  (** X = Y *)
   | EmptySet of var  (** X = ∅ *)
   | Sing of var  (** X is a singleton *)
   | Mem of var * var  (** x ∈ X *)
-  | EqPos of var * var  (** x = y *)
+  | EqPos of var * var  (** x = y; over two sets, X = Y *)
   | LeftOf of var * var  (** y = left(x) *)
   | RightOf of var * var  (** y = right(x) *)
   | Root of var  (** x is the root *)
   | IsNil of var  (** x is a leaf (nil node) *)
-  | Reach of var * var  (** x is an ancestor of y (or x = y) *)
   | AgreeAbove of var * (var * var) list * (var * var) list
       (** [AgreeAbove (z, strict, incl)]: at every {e strict} ancestor [v]
           of [z], [v ∈ X ⇔ v ∈ Y] for each [(X,Y)] in [strict @ incl]; at
@@ -57,8 +56,6 @@ type node =
   | Or of formula list
   | Imp of formula * formula
   | Iff of formula * formula
-  | Exists2 of var * formula  (** second-order ∃ *)
-  | Forall2 of var * formula
   | Exists1 of var * formula  (** first-order ∃ *)
   | Forall1 of var * formula
 
@@ -122,17 +119,6 @@ val satisfiable : env -> formula -> bool
 
 val compile : env -> formula -> Treeauto.t
 (** The automaton recognizing exactly the models of the formula (with the
-    environment's variables as tracks, in order).  Exposed for benchmarks
-    and for the MONA-interop layer. *)
-
-(** {1 Reference semantics (for testing)} *)
-
-val eval :
-  Treeauto.tree ->
-  (var * int list list) list ->
-  formula ->
-  bool
-(** Direct evaluation of a formula on a tree under an assignment of
-    variables to position sets (first-order variables must be mapped to
-    singleton sets).  Exponential in quantifier depth; intended as a test
-    oracle on small trees. *)
+    environment's variables as tracks, in order).  {!solve} decides
+    through it; it is exposed for the benchmarks and the tests, which
+    read the automaton itself. *)

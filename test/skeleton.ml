@@ -6,8 +6,6 @@ let rec of_formula (f : Mso.formula) =
   match f.node with
   | True -> leaf "true" []
   | False -> leaf "false" []
-  | Sub (a, b) -> leaf "sub" [ a; b ]
-  | EqSet (a, b) -> leaf "eqset" [ a; b ]
   | EmptySet a -> leaf "empty" [ a ]
   | Sing a -> leaf "sing" [ a ]
   | Mem (a, b) -> leaf "mem" [ a; b ]
@@ -16,7 +14,6 @@ let rec of_formula (f : Mso.formula) =
   | RightOf (a, b) -> leaf "right" [ a; b ]
   | Root a -> leaf "root" [ a ]
   | IsNil a -> leaf "isnil" [ a ]
-  | Reach (a, b) -> leaf "reach" [ a; b ]
   | AgreeAbove (z, strict, incl) ->
     Node ("agree", [ z ], [ pairs "strict" strict; pairs "incl" incl ])
   | Not g -> Node ("not", [], [ of_formula g ])
@@ -24,8 +21,6 @@ let rec of_formula (f : Mso.formula) =
   | Or gs -> Node ("or", [], List.map of_formula gs)
   | Imp (a, b) -> Node ("imp", [], [ of_formula a; of_formula b ])
   | Iff (a, b) -> Node ("iff", [], [ of_formula a; of_formula b ])
-  | Exists2 (x, g) -> Node ("ex2", [ x ], [ of_formula g ])
-  | Forall2 (x, g) -> Node ("all2", [ x ], [ of_formula g ])
   | Exists1 (x, g) -> Node ("ex1", [ x ], [ of_formula g ])
   | Forall1 (x, g) -> Node ("all1", [ x ], [ of_formula g ])
 

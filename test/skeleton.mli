@@ -5,7 +5,9 @@
     instead of by polymorphic equality. *)
 
 type t = Node of string * Mso.var list * t list
-(** A node's constructor, its variables and its children. *)
+(** A node's constructor, its variables and its children.  Each
+    constructor of [Mso.node] has its own tag, named in a match with no
+    wildcard, which [test_encode]'s fragment case relies on. *)
 
 val of_formula : Mso.formula -> t
 

@@ -12,7 +12,7 @@
 let dir_to_int = function Ast.L -> 0 | Ast.R -> 1
 let path_of p = List.map dir_to_int p
 
-(* Heap shape -> the MSO model tree (labels are irrelevant to Mso.eval). *)
+(* Heap shape -> the MSO model tree (labels are irrelevant to Mso_eval). *)
 let rec shape_of_heap = function
   | Heap.Nil -> Treeauto.Leaf []
   | Heap.Node n -> Treeauto.Node ([], shape_of_heap n.left, shape_of_heap n.right)
@@ -64,7 +64,7 @@ let check_configurations src =
             (assignment_of_event enc ns1 e)
             [ ("x1", [ path_of e.ev_path ]) ]
         in
-        if not (Mso.eval shape asg formula) then
+        if not (Mso_eval.eval shape asg formula) then
           Alcotest.failf
             "concrete configuration for block %s at %a violates the \
              Configuration formula"
@@ -109,7 +109,7 @@ let test_configuration_rejects_corruption () =
     full_assignment enc [ ns1 ] bad [ ("x1", [ path_of e.ev_path ]) ]
   in
   Alcotest.(check bool) "corrupted stack rejected" false
-    (Mso.eval shape asg formula)
+    (Mso_eval.eval shape asg formula)
 
 (* schedule predicates agree with the dynamic oracle *)
 let test_schedule_predicates () =
@@ -135,7 +135,7 @@ let test_schedule_predicates () =
                 ]
             in
             let holds cases =
-              List.exists (fun f -> Mso.eval shape asg f) cases
+              List.exists (fun f -> Mso_eval.eval shape asg f) cases
             in
             let q1 = e1.Interp.ev_block and q2 = e2.Interp.ev_block in
             if Interp.unordered info e1 e2 then begin
@@ -316,6 +316,43 @@ let test_data_race_export () =
   Alcotest.(check bool) "size_counting_seq is false" true
     (match f.node with Mso.False -> true | _ -> false)
 
+(* [Mso.node] has exactly the constructors the encoder builds for one
+   bundled program, plus [True] and [Sing], which [Mso] builds itself.
+   [Skeleton.of_formula] names each node in a match with no wildcard, so
+   a new constructor fails to compile there until it is named, and then
+   fails this test unless the encoder builds it. *)
+let constructors =
+  [ "true"; "false"; "empty"; "sing"; "mem"; "eqpos"; "left"; "right";
+    "root"; "isnil"; "agree"; "not"; "and"; "or"; "imp"; "iff"; "ex1";
+    "all1" ]
+
+let test_fragment () =
+  let info = Programs.load Programs.racy_writers in
+  let enc = Encode.make info in
+  let built = Hashtbl.create 32 in
+  (* an [agree] node's children are its pair lists, not formulas *)
+  let rec skeleton (Skeleton.Node (tag, _, children)) =
+    Hashtbl.replace built tag ();
+    if tag <> "agree" then List.iter skeleton children
+  in
+  let walk f = skeleton (Skeleton.of_formula f) in
+  walk (snd (Encode.data_race enc));
+  let noncalls = Blocks.all_noncalls info in
+  List.iter
+    (fun q1 ->
+      List.iter
+        (fun q2 ->
+          walk (Encode.configuration enc ns1 ~q:q1);
+          walk (Encode.dependence enc ns1 ns2 ~q1 ~q2);
+          List.iter walk (Encode.ordered_cases enc ns1 ns2 ~q1 ~q2);
+          List.iter walk (Encode.parallel_cases enc ns1 ns2 ~q1 ~q2))
+        noncalls)
+    noncalls;
+  let names = List.of_seq (Hashtbl.to_seq_keys built) @ [ "true"; "sing" ] in
+  Alcotest.(check (list string)) "Mso.node is the built fragment"
+    (List.sort String.compare constructors)
+    (List.sort_uniq String.compare names)
+
 let () =
   Alcotest.run "encode"
     [
@@ -345,4 +382,7 @@ let () =
       ( "export",
         [ Alcotest.test_case "data race answers" `Quick
             test_data_race_export ] );
+      ( "fragment",
+        [ Alcotest.test_case "Mso.node is what the encoder builds" `Quick
+            test_fragment ] );
     ]

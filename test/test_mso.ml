@@ -4,10 +4,10 @@
 
 open Mso
 
+let eval = Mso_eval.eval
+
 (* Formulas are built through [mk]: one builder per node, raw (no
    folding), next to the smart constructors of [Mso]. *)
-let sub a b = mk (Sub (a, b))
-let eqset a b = mk (EqSet (a, b))
 let empty a = mk (EmptySet a)
 let sing a = mk (Sing a)
 let mem a b = mk (Mem (a, b))
@@ -16,15 +16,12 @@ let left a b = mk (LeftOf (a, b))
 let right a b = mk (RightOf (a, b))
 let root a = mk (Root a)
 let isnil a = mk (IsNil a)
-let reach a b = mk (Reach (a, b))
 let agree z strict incl = mk (AgreeAbove (z, strict, incl))
 let neg f = mk (Not f)
 let conj fs = mk (And fs)
 let disj fs = mk (Or fs)
 let implies a b = mk (Imp (a, b))
 let equiv a b = mk (Iff (a, b))
-let ex2 x f = mk (Exists2 (x, f))
-let all2 x f = mk (Forall2 (x, f))
 let ex1 x f = mk (Exists1 (x, f))
 let all1 x f = mk (Forall1 (x, f))
 
@@ -40,8 +37,7 @@ let atom_gen =
     let so = oneofl so_vars and fo = oneofl fo_vars in
     oneof
       [
-        map2 sub so so;
-        map2 eqset so so;
+        map2 eqpos so so;
         map empty so;
         map sing so;
         map2 mem fo so;
@@ -50,7 +46,6 @@ let atom_gen =
         map2 right fo fo;
         map root fo;
         map isnil fo;
-        map2 reach fo fo;
         return true_;
         return false_;
       ])
@@ -72,13 +67,13 @@ let formula_gen_with ~shadow =
                (* quantifiers over fresh names to keep eval cheap *)
                map (fun f -> ex1 "q" (disj [ f; root "q" ])) (self (n - 1));
                map (fun f -> all1 "q" (disj [ f; isnil "q" ])) (self (n - 1));
-               map (fun f -> ex2 "Q" (conj [ f; empty "Q" ])) (self (n - 1));
+               map (fun f -> ex1 "q" (conj [ f; isnil "q" ])) (self (n - 1));
              ]
             @
             if shadow then
               [
                 map2 ex1 (oneofl fo_vars) (self (n - 1));
-                map2 all2 (oneofl so_vars) (self (n - 1));
+                map2 all1 (oneofl so_vars) (self (n - 1));
               ]
             else [])))
 
@@ -159,8 +154,6 @@ let rec rename r f =
   let ps = List.map (fun (a, b) -> (r a, r b)) in
   let go = rename r in
   match f.node with
-  | Sub (a, b) -> sub (r a) (r b)
-  | EqSet (a, b) -> eqset (r a) (r b)
   | EmptySet a -> empty (r a)
   | Sing a -> sing (r a)
   | Mem (a, b) -> mem (r a) (r b)
@@ -169,7 +162,6 @@ let rec rename r f =
   | RightOf (a, b) -> right (r a) (r b)
   | Root a -> root (r a)
   | IsNil a -> isnil (r a)
-  | Reach (a, b) -> reach (r a) (r b)
   | AgreeAbove (z, s, i) -> agree (r z) (ps s) (ps i)
   | True | False -> f
   | Not g -> neg (go g)
@@ -177,8 +169,6 @@ let rec rename r f =
   | Or gs -> disj (List.map go gs)
   | Imp (a, b) -> implies (go a) (go b)
   | Iff (a, b) -> equiv (go a) (go b)
-  | Exists2 (x, g) -> ex2 (r x) (go g)
-  | Forall2 (x, g) -> all2 (r x) (go g)
   | Exists1 (x, g) -> ex1 (r x) (go g)
   | Forall1 (x, g) -> all1 (r x) (go g)
 
@@ -253,7 +243,6 @@ let renamed = function
   | "x" -> "a"
   | "y" -> "b"
   | "q" -> "r"
-  | "Q" -> "R"
   | v -> v
 
 (* An alpha-renamed copy of a compiled formula, under the renamed
@@ -285,8 +274,7 @@ let reference_fv f =
     let var acc v = if List.mem v bound || List.mem v acc then acc else v :: acc in
     match f.node with
     | True | False -> acc
-    | Sub (a, b) | EqSet (a, b) | Mem (a, b) | EqPos (a, b)
-    | LeftOf (a, b) | RightOf (a, b) | Reach (a, b) ->
+    | Mem (a, b) | EqPos (a, b) | LeftOf (a, b) | RightOf (a, b) ->
       var (var acc a) b
     | EmptySet a | Sing a | Root a | IsNil a -> var acc a
     | AgreeAbove (z, strict, incl) ->
@@ -296,8 +284,7 @@ let reference_fv f =
     | Not g -> go bound acc g
     | And gs | Or gs -> List.fold_left (go bound) acc gs
     | Imp (a, b) | Iff (a, b) -> go bound (go bound acc a) b
-    | Exists2 (x, g) | Forall2 (x, g) | Exists1 (x, g) | Forall1 (x, g) ->
-      go (x :: bound) acc g
+    | Exists1 (x, g) | Forall1 (x, g) -> go (x :: bound) acc g
   in
   List.rev (go [] [] f)
 
@@ -311,15 +298,15 @@ let prop_free_vars =
       free_vars f = reference_fv f && free_vars g = reference_fv g)
 
 (* The kinds of a subformula's free variables are part of its cache key.
-   [Sub (v, X)] compiles restricted to singletons when [v] is
+   [EqPos (v, X)] compiles restricted to singletons when [v] is
    first-order and over sets when it is second-order, so on one context
    neither automaton may serve the alpha-equivalent request of the other
    kind: each compile there must equal, node for node, its compile on a
    fresh context.  Both are imported into a third context, by the
    identity renaming, to be compared. *)
 let test_cache_keys_on_kinds () =
-  let over_fo = ([ ("x", FO); ("X", SO) ], sub "x" "X")
-  and over_so = ([ ("y", SO); ("Y", SO) ], sub "y" "Y") in
+  let over_fo = ([ ("x", FO); ("X", SO) ], eqpos "x" "X")
+  and over_so = ([ ("y", SO); ("Y", SO) ], eqpos "y" "Y") in
   let compile_case (e, f) = compile e f in
   List.iter
     (fun (order, cases) ->
@@ -343,19 +330,19 @@ let test_cache_keys_on_kinds () =
        [ ("second-order", over_so); ("first-order", over_fo) ]);
     ]
 
-(* Under an armed mso.projection_shift, the quantifier of [∃q. x ≤ q]
-   erases x's track instead of q's, so the compiled automaton reads a
+(* Under an armed mso.projection_shift, the quantifier of [∃q. q ∈ X]
+   erases X's track instead of q's, so the compiled automaton reads a
    track that is not one of its free variables'.  The alpha-equivalent
    request over another track must compile afresh instead of renaming
    it (the fault then fires a second time). *)
 let test_projection_shift_compiles () =
   let site = "mso.projection_shift" in
-  let f v = ex1 "q" (reach v "q") in
+  let f v = ex1 "q" (mem "q" v) in
   Solver_ctx.with_fresh (fun () ->
       Faults.arm ~period:1 ~site ~seed:1 ();
       Fun.protect ~finally:Faults.disarm (fun () ->
-          ignore (compile [ ("x", SO) ] (f "x"));
-          ignore (compile [ ("Z", SO); ("y", SO) ] (f "y"));
+          ignore (compile [ ("X", SO) ] (f "X"));
+          ignore (compile [ ("Z", SO); ("Y", SO) ] (f "Y"));
           Alcotest.(check int) "both compiled" 2 (Faults.fired_count ~site)))
 
 (* --- validities --- *)
@@ -371,21 +358,25 @@ let check_valid name f e = Alcotest.(check bool) name true (valid e f)
 let check_sat name f e = Alcotest.(check bool) name true (satisfiable e f)
 let check_unsat name f e = Alcotest.(check bool) name false (satisfiable e f)
 
+let child x y = or_l [ left x y; right x y ]
+
 let test_validities () =
-  check_valid "reach reflexive" (all1 "x" (reach "x" "x")) [];
-  check_valid "reach transitive"
-    (forall1_many [ "x"; "y"; "z" ]
-       (imp (and_l [ reach "x" "y"; reach "y" "z" ]) (reach "x" "z")))
+  check_valid "no position is its own child"
+    (all1 "x" (not_ (child "x" "x")))
     [];
-  check_valid "left implies proper reach"
-    (forall1_many [ "x"; "y" ]
-       (imp (left "x" "y") (and_l [ reach "x" "y"; not_ (eqpos "x" "y") ])))
+  check_valid "left child unique"
+    (forall1_many [ "x"; "y"; "z" ]
+       (imp (and_l [ left "x" "y"; left "x" "z" ]) (eqpos "y" "z")))
+    [];
+  check_valid "one parent"
+    (forall1_many [ "x"; "y"; "z" ]
+       (imp (and_l [ child "x" "z"; child "y" "z" ]) (eqpos "x" "y")))
     [];
   check_valid "unique root"
     (ex1 "x" (conj [ root "x"; all1 "y" (imp (root "y") (eqpos "x" "y")) ]))
     [];
-  check_valid "root reaches everything"
-    (forall1_many [ "x"; "y" ] (imp (root "x") (reach "x" "y")))
+  check_valid "every other position has a parent"
+    (all1 "y" (or_l [ root "y"; ex1 "x" (child "x" "y") ]))
     [];
   check_valid "children are ordered"
     (forall1_many [ "x"; "y"; "z" ]
@@ -405,8 +396,8 @@ let test_satisfiability () =
   check_sat "free SO var can hold all nils"
     (all1 "u" (iff (mem "u" "X") (isnil "u")))
     [ ("X", SO) ];
-  check_unsat "x below and above y strictly"
-    (and_l [ reach "x" "y"; reach "y" "x"; not_ (eqpos "x" "y") ])
+  check_unsat "x and y children of each other"
+    (and_l [ child "x" "y"; child "y" "x" ])
     (fo_env [ "x"; "y" ])
 
 (* An undeclared free variable is refused before anything is compiled,
@@ -417,7 +408,7 @@ let test_undeclared () =
     Alcotest.check_raises ("undeclared " ^ v) (Invalid_argument msg)
       (fun () -> ignore (satisfiable [ ("x", FO) ] f))
   in
-  refused "y" (reach "x" "y");
+  refused "y" (left "x" "y");
   refused "Y" (ex1 "x" (mem "x" "Y"))
 
 let test_witness_decoding () =
@@ -447,10 +438,9 @@ let test_witness_decoding () =
 let test_paper_isnil_axiom () =
   (* In the paper's infinite-tree phrasing, isNil is closed downward.  In the
      finite-tree semantics, nil nodes simply have no children; check the
-     corresponding statement: no position below a nil. *)
-  check_valid "nothing strictly below a nil"
-    (forall1_many [ "x"; "y" ]
-       (imp (and_l [ isnil "x"; reach "x" "y" ]) (eqpos "x" "y")))
+     corresponding statement: no child below a nil. *)
+  check_valid "no child below a nil"
+    (forall1_many [ "x"; "y" ] (imp (isnil "x") (not_ (child "x" "y"))))
     []
 
 (* Formulas are compared by their skeletons: a slot filled on one side
@@ -489,13 +479,13 @@ let test_exhaustive_agreement () =
   in
   let templates =
     [
-      left "x" "y"; right "x" "y"; reach "x" "y"; root "x";
-      isnil "x"; sing "X"; sub "X" "Y"; mem "x" "X"; eqpos "x" "y";
-      eqset "X" "Y"; empty "X";
+      left "x" "y"; right "x" "y"; root "x";
+      isnil "x"; sing "X"; mem "x" "X"; eqpos "x" "y";
+      eqpos "X" "Y"; empty "X";
       ex1 "q" (disj [ mem "q" "X"; root "q" ]);
-      all1 "q" (disj [ reach "q" "x"; isnil "q" ]);
-      ex2 "Q" (conj [ sub "Q" "X"; empty "Q" ]);
-      neg (reach "x" "y");
+      all1 "q" (disj [ left "q" "x"; isnil "q" ]);
+      ex1 "q" (conj [ mem "q" "X"; isnil "q" ]);
+      neg (left "x" "y");
       conj [ left "x" "y"; mem "y" "X" ];
       disj [ right "x" "y"; eqpos "x" "y" ];
       implies (root "x") (isnil "y");
@@ -507,13 +497,12 @@ let test_exhaustive_agreement () =
       agree "x" [] [ ("X", "Y") ];
       (* first-order variables where a set is read: each is still
          restricted to a singleton *)
-      sub "x" "X"; sub "X" "x"; sub "x" "y"; eqset "x" "X";
-      eqset "x" "y"; empty "x"; sing "x"; mem "x" "y";
-      eqpos "x" "X"; neg (sub "X" "x");
+      empty "x"; sing "x"; mem "x" "y";
+      eqpos "x" "X"; eqpos "X" "x"; neg (eqpos "X" "x");
       agree "x" [ ("y", "X") ] [];
       (* second-order variables where a position is read: false unless
          a singleton, as [eval] reads them *)
-      root "X"; isnil "X"; mem "X" "y"; reach "X" "y";
+      root "X"; isnil "X"; mem "X" "y"; left "X" "y";
       left "x" "Y"; neg (right "X" "y");
       agree "X" [ ("x", "y") ] [];
     ]
